@@ -1,7 +1,9 @@
 """Blowup power series from Weierstrass data.
 
-Builds the series B, S, Delta, Q, q used by the blowup calculus and
-machine-checks the identities they satisfy.  The curve data is
+Builds the series B, S, Delta, Q, q used by the blowup calculus,
+machine-checks the identities they satisfy, and owns the memoised
+powers of these series that the rest of the calculus multiplies.  The
+curve data is
 
     g2 = 4(x^2/3 - 1),      g3 = (8x^3 - 36x)/27,
 
@@ -16,7 +18,7 @@ with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .rings import (
     P_ONE,
@@ -104,9 +106,36 @@ def _require_zero(residual: SeriesT, name: str):
             raise IdentityError(name, k, coeff)
 
 
+_deepest = None
+
+
 @lru_cache(maxsize=None)
 def blowup_functions(order: int) -> BlowupFunctions:
-    """Construct B, S, Delta, Q, q, Q' at the given truncation order."""
+    """B, S, Delta, Q, q, Q' at the given truncation order.
+
+    Below the deepest order built so far they are truncations of that
+    build, which has the same exact coefficients."""
+    global _deepest
+    if order < 8:
+        raise ValueError("order must be at least 8")
+    if _deepest is not None and _deepest.order >= order:
+        return _truncated(_deepest, order)
+    _deepest = build_blowup_functions(order)
+    return _deepest
+
+
+def _truncated(bf: BlowupFunctions, order: int) -> BlowupFunctions:
+    return BlowupFunctions(
+        B=bf.B.truncate(order), S=bf.S.truncate(order),
+        Delta=bf.Delta.truncate(order - 1), Q=bf.Q.truncate(order),
+        q=bf.q.truncate(order), Qprime=bf.Qprime.truncate(order - 1),
+        order=order,
+    )
+
+
+def build_blowup_functions(order: int) -> BlowupFunctions:
+    """Construct B, S, Delta, Q, q, Q' at the given truncation order and
+    check their normalization."""
     if order < 8:
         raise ValueError("order must be at least 8")
     # Work a little deeper internally so that derivatives and the two
@@ -140,6 +169,76 @@ def blowup_functions(order: int) -> BlowupFunctions:
     bf = BlowupFunctions(B=B, S=S, Delta=Delta, Q=Q, q=q, Qprime=Qprime, order=order)
     _check_normalization(bf)
     return bf
+
+
+class SeriesTable:
+    """The terms of one geometric sequence of series, first * ratio^i,
+    all kept at the deepest order asked for so far.
+
+    `build(order)` returns (initial terms, ratio) at that order; every
+    further term is the one before it times the ratio, appended once.
+    A deeper order rebuilds the table there.  A shallower order is served
+    by truncation: the series are exact, so truncating a deeper product
+    gives the same coefficients as building at the shallower order.
+    """
+
+    def __init__(self, build):
+        self._build = build
+        self._order = -1
+        self._terms = []
+        self._ratio = None
+
+    def term(self, i: int, order: int) -> SeriesT:
+        if i < 0:
+            raise ValueError("term index must be nonnegative")
+        if order > self._order:
+            terms, self._ratio = self._build(order)
+            self._terms = list(terms)
+            self._order = order
+        terms = self._terms
+        while len(terms) <= i:
+            terms.append(terms[-1] * self._ratio)
+        f = terms[i]
+        return f if order == self._order else f.truncate(order)
+
+
+def _powers_of(name: str, order: int):
+    """The terms 1, f and the ratio f of the powers of a named series."""
+    # Delta and Qprime are one order shorter than the build order.
+    bf = blowup_functions(max(8, order + 1))
+    if name == "Binv":
+        f = bf.B.inverse()
+    elif name == "inv_2mxq":
+        f = (2 - bf.q * PolyX.x()).inverse()
+    else:
+        f = getattr(bf, name)
+    f = f.truncate(order)
+    return (SeriesT.one(order), f), f
+
+
+_POWERS = {}
+
+
+def series_power(name: str, k: int, order: int) -> SeriesT:
+    """f^k at the given order, for f one of the blowup series B, S,
+    Delta, Q, q, Qprime or Binv = 1/B, inv_2mxq = 1/(2 - xq).
+
+    One table per name holds f^0, f^1, ... at the deepest order asked for
+    so far, each power built once from the one before it."""
+    table = _POWERS.get(name)
+    if table is None:
+        table = _POWERS[name] = SeriesTable(partial(_powers_of, name))
+    return table.term(k, order)
+
+
+def series_monomial(order: int, **exponents) -> SeriesT:
+    """The product of series_power(name, k, order) over name=k."""
+    out = None
+    for name, k in exponents.items():
+        if k:
+            f = series_power(name, k, order)
+            out = f if out is None else out * f
+    return SeriesT.one(order) if out is None else out
 
 
 def _check_normalization(bf: BlowupFunctions):
@@ -184,8 +283,11 @@ def verify_elliptic_identities(bf: BlowupFunctions) -> dict:
     report["Q-times-B"] = qb.order
 
     for n in range(0, 9):
+        # only t^0..t^(n+1) are read, and they depend on B, S through t^(n+1)
+        top = min(n + 2, bf.order)
+        b, s = bf.B.truncate(top), bf.S.truncate(top)
         for r in range(0, 9):
-            f = bf.B**r * bf.S**n
+            f = b**r * s**n
             for k in range(min(n + 2, f.order)):
                 expected = P_ONE if k == n else P_ZERO
                 if f[k] != expected:

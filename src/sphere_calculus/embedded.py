@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .elliptic import blowup_functions
+from .elliptic import blowup_functions, series_monomial
 from .model import (
     moments,
     sigma_power_insertion_value,
@@ -85,14 +85,10 @@ def basis_monomials(n: int, epsilon: int, parity: int):
 
 @lru_cache(maxsize=None)
 def basis_series(n: int, epsilon: int, parity: int, order: int):
-    bf = blowup_functions(order + 1)
-    out = []
-    for s_exp, b_exp, d_exp in basis_monomials(n, epsilon, parity):
-        f = bf.S**s_exp * bf.B**b_exp
-        if d_exp:
-            f = f * bf.Delta**d_exp
-        out.append(((s_exp, b_exp, d_exp), f.truncate(order)))
-    return tuple(out)
+    return tuple(
+        (mono, series_monomial(order, S=mono[0], B=mono[1], Delta=mono[2]))
+        for mono in basis_monomials(n, epsilon, parity)
+    )
 
 
 def sigma_powers(n: int, epsilon: int, parity: int):
@@ -230,29 +226,33 @@ def verify_embedded_relation(rel: EmbeddedRelation, order: int = None):
     """Check the relation against the blowup model for every admissible
     twist count, with and without the (e_i - e_j) insertion.
 
-    Returns a list of (description, bool); raises nothing.
+    Raises DerivationError naming the first failing check; returns the
+    names of the checks made, in order.
     """
     if order is None:
         order = rel.order
     n, eps = rel.n, rel.epsilon
     cps = relation_coefficient_series(rel, order)
     checks = []
-    for m in range(eps, n + 1, 2):
-        lhs = smb_series(n, m, order)
+
+    def check(name, lhs, value, m):
         rhs = SeriesT.zero(order)
         for p, series in cps.items():
-            v = sigma_power_value(n, m, p, order)
+            v = value(n, m, p, order)
             if v:
                 rhs = rhs + series * v
-        checks.append(("twists=%d" % m, (lhs - rhs).is_zero()))
+        k = (lhs - rhs).valuation()
+        if k >= 0:
+            raise DerivationError(
+                "embedded relation n=%d epsilon=%d fails at %s: residual "
+                "at t^%d" % (n, eps, name, k))
+        checks.append(name)
+
+    for m in range(eps, n + 1, 2):
+        check("twists=%d" % m, smb_series(n, m, order), sigma_power_value, m)
         if 1 <= m <= n - 1:
-            lhs_i = smb_insertion_series(n, m, order)
-            rhs_i = SeriesT.zero(order)
-            for p, series in cps.items():
-                v = sigma_power_insertion_value(n, m, p, order)
-                if v:
-                    rhs_i = rhs_i + series * v
-            checks.append(("twists=%d+insertion" % m, (lhs_i - rhs_i).is_zero()))
+            check("twists=%d+insertion" % m, smb_insertion_series(n, m, order),
+                  sigma_power_insertion_value, m)
     return checks
 
 

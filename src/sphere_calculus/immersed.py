@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .elliptic import blowup_functions
+from .elliptic import SeriesTable, series_monomial, series_power
 from .embedded import DerivationError, derive_embedded
 from .model import moments
 from .rings import (
@@ -176,19 +176,12 @@ def universal_coefficients(a: int, s: int, side: str):
     (resp. 2 k0 + 1) determines every coefficient by a triangular solve
     with unit diagonal.  The result depends only on (a, s)."""
     if side == "cosh":
-        kern, top, par = "Qprime", k_index(a, s), 0
+        top, par = k_index(a, s), 0
     else:
-        kern, top, par = "Q", k0_index(a, s), 1
+        top, par = k0_index(a, s), 1
     if top < 0:
         return ()
-    order = max(8, 2 * top + par + 2)
-    bf = blowup_functions(order)
-    bpow = bf.B ** (-a) if a <= 0 else bf.B.inverse() ** a
-    base = bpow * (2 - bf.q * X).inverse() ** s * getattr(bf, kern)
-    weights = []
-    for _ in range(top + 1):
-        weights.append(base)
-        base = base * bf.q
+    weights = _weights(a, s, side, top + 1, max(8, 2 * top + par + 2))
     out = []
     for j in range(top + 1):
         tp = 2 * j + par
@@ -212,15 +205,25 @@ def _make_target(p: int, s: int, a: int) -> NormalForm:
     )
 
 
-def _b_power(bf, e: int):
-    return bf.B**e if e >= 0 else bf.B.inverse() ** (-e)
+def _weight_terms(a: int, s: int, side: str, order: int):
+    """First term B^(-a) (2-xq)^(-s) K and ratio q of the weight series,
+    with K = Q' on the cosh side and K = Q on the sinh side."""
+    exponents = {"B" if a <= 0 else "Binv": abs(a), "inv_2mxq": s,
+                 "Qprime" if side == "cosh" else "Q": 1}
+    return (series_monomial(order, **exponents),), series_power("q", 1, order)
 
 
-def _side_base(bf, a: int, s: int, side: str):
-    bpow = _b_power(bf, -a)
-    denom = (2 - bf.q * X).inverse() ** s
-    kernel = bf.Qprime if side == "cosh" else bf.Q
-    return bpow * denom * kernel
+_WEIGHTS = {}
+
+
+def _weights(a: int, s: int, side: str, count: int, order: int):
+    """The weight series B^(-a) (2-xq)^(-s) K q^i for i < count, each
+    built once per (a, s, side) at the deepest order asked for so far."""
+    key = (a, s, side)
+    table = _WEIGHTS.get(key)
+    if table is None:
+        table = _WEIGHTS[key] = SeriesTable(partial(_weight_terms, *key))
+    return [table.term(i, order) for i in range(count)]
 
 
 def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
@@ -237,25 +240,14 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
 def _expansion_coefficients(a, s, side, coeffs, order):
     """Plain Taylor coefficients (per power of t, alpha symbolic) of
     B^(-a)(2-xq)^(-s) K sum_i q^i coeffs[i]."""
-    bf = blowup_functions(max(8, order + 4))
-    base = _side_base(bf, a, s, side)
     out = [AlphaPoly() for _ in range(order)]
-    for ci in coeffs:
+    for ci, weight in zip(coeffs, _weights(a, s, side, len(coeffs), order)):
         if ci:
             for j in range(order):
-                bj = base[j]
-                if bj:
-                    out[j] = out[j] + ci * bj
-        base = base * bf.q
+                wj = weight[j]
+                if wj:
+                    out[j] = out[j] + ci * wj
     return tuple(out)
-
-
-def normal_form_expansion(nf: NormalForm, order: int):
-    """Taylor coefficients (per power of t, alpha symbolic) of the full
-    right-hand side B^(-a)(2-xq)^(-s) sum_i q^i (Q' c_i + Q d_i)."""
-    cosh = _expansion_coefficients(nf.a, nf.s, "cosh", tuple(nf.c), order)
-    sinh = _expansion_coefficients(nf.a, nf.s, "sinh", tuple(nf.d), order)
-    return [cosh[j] + sinh[j] for j in range(order)]
 
 
 @lru_cache(maxsize=None)

@@ -99,19 +99,22 @@ def admissible_charges(p: int, m: int, cap):
     Charges step by one instanton from the least k in Z[1/p] that is
     at least the flat action m^2/(4p) and makes dim_end an integer.
     The m = 0 end limits to the trivial connection, so its relative
-    charge is a positive integer.
+    charge is a positive integer.  Whether k = i/p makes dim_end an
+    integer depends on i mod p only, so one period of i is searched;
+    raises ValueError when no charge qualifies (odd m with 4 | p).
     """
     cap = rat(cap)
     if m == 0:
         k_min = rat(1)
     else:
-        i = 0
-        while True:
-            k = rat(i, p)
-            if 4 * p * k >= m * m and dim_end(p, k, m).denominator == 1:
-                k_min = k
+        first = -(-m * m // 4)  # least i with 4 p (i/p) >= m^2
+        for i in range(first, first + p):
+            if dim_end(p, rat(i, p), m).denominator == 1:
+                k_min = rat(i, p)
                 break
-            i += 1
+        else:
+            raise ValueError(
+                "no charge makes dim_end integral for p=%d, m=%d" % (p, m))
     out = []
     k = k_min
     while k <= cap:

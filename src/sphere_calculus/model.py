@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .elliptic import blowup_functions
+from .elliptic import blowup_functions, series_monomial
 from .rings import P_ONE, PolyX, SeriesT, factorial, rat
 
 
@@ -132,17 +132,14 @@ def verify_relation(lhs: FormalExpr, rhs: FormalExpr, twistset, order: int) -> R
 @lru_cache(maxsize=None)
 def smb_series(n: int, twist_count: int, order: int) -> SeriesT:
     """S^m B^(n-m) at the given order, m = twist_count."""
-    bf = blowup_functions(order)
-    return bf.S**twist_count * bf.B ** (n - twist_count)
+    return series_monomial(order, S=twist_count, B=n - twist_count)
 
 
 @lru_cache(maxsize=None)
 def smb_insertion_series(n: int, twist_count: int, order: int) -> SeriesT:
     """-Delta S^(m-1) B^(n-m-1) at the given order, m = twist_count."""
-    bf = blowup_functions(order + 1)
-    return (
-        -bf.Delta * bf.S ** (twist_count - 1) * bf.B ** (n - twist_count - 1)
-    ).truncate(order)
+    return -series_monomial(
+        order, Delta=1, S=twist_count - 1, B=n - twist_count - 1)
 
 
 def sigma_power_value(n: int, twist_count: int, p: int, order: int) -> PolyX:

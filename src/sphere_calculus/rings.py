@@ -27,6 +27,7 @@ except ImportError:  # pragma: no cover - gmpy2 is normally present
 
 ZERO = rat(0)
 ONE = rat(1)
+_RAT = type(ZERO)
 
 NEG_INF = float("-inf")
 
@@ -61,7 +62,7 @@ class PolyX:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, _RAT_TYPES):
             coeffs = (rat(coeffs),)
-        self.coeffs = _strip(tuple(rat(c) for c in coeffs))
+        self.coeffs = _strip(tuple(c if type(c) is _RAT else rat(c) for c in coeffs))
 
     @staticmethod
     def const(c) -> "PolyX":

@@ -74,6 +74,12 @@ def test_usage_error_exit_2():
     assert exc.value.code == 2
 
 
+def test_lens_poset_without_charges_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["lens", "poset", "--p", "8", "--parity", "odd", "--n", "10"])
+    assert exc.value.code == 2
+
+
 def test_order_floor_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["series", "--fn", "Q", "--order", "4"])

@@ -1,8 +1,11 @@
 """Embedded-sphere structure equations against printed and model oracles."""
 
+from dataclasses import replace
+
 import pytest
 
 from sphere_calculus.embedded import (
+    DerivationError,
     basis_monomials,
     corollary_24_table,
     derive_embedded,
@@ -40,7 +43,11 @@ def test_minus_three_sphere_formula():
 @pytest.mark.parametrize("epsilon", [0, 1])
 def test_generality_and_model_verification(n, epsilon):
     rel = derive_embedded(n, epsilon)
-    verify_embedded_relation(rel)
+    checks = verify_embedded_relation(rel)
+    twists = range(epsilon, n + 1, 2)
+    assert checks == [name for m in twists for name in
+                      ["twists=%d" % m] + (["twists=%d+insertion" % m]
+                                           if 1 <= m <= n - 1 else [])]
     # hat-term vanishing: the top sigma power of the opposite parity
     # is absent (sigma^(2k-1) for epsilon=0 n=2k; sigma^2k for
     # epsilon=1 n=2k+1)
@@ -49,6 +56,14 @@ def test_generality_and_model_verification(n, epsilon):
         assert n - 1 not in powers
     if epsilon == 1 and n % 2 == 1:
         assert n - 1 not in powers
+
+
+def test_model_verification_raises_on_failure():
+    rel = derive_embedded(3, 1)
+    (p, c, mono), *rest = rel.cosh_terms
+    broken = replace(rel, cosh_terms=((p, c + 1, mono), *rest))
+    with pytest.raises(DerivationError, match="twists=1"):
+        verify_embedded_relation(broken)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

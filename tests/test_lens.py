@@ -2,6 +2,7 @@
 
 import pytest
 
+from sphere_calculus import lens
 from sphere_calculus.lens import (
     PosetError,
     admissible_charges,
@@ -124,6 +125,38 @@ def test_charges_are_integral_dimension():
         for k in admissible_charges(6, m, rat(4)):
             assert dim_end(6, k, m).denominator == 1
             assert 4 * 6 * k >= m * m
+
+
+def _unbounded_charges(p, m, cap):
+    """The charge search without a bound on i, as it stood before the
+    one-period bound; it returns whenever some charge qualifies."""
+    cap = rat(cap)
+    if m == 0:
+        k = rat(1)
+    else:
+        i = 0
+        while not (4 * i >= m * m and dim_end(p, rat(i, p), m).denominator == 1):
+            i += 1
+        k = rat(i, p)
+    out = []
+    while k <= cap:
+        out.append(k)
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("p", range(1, 17))
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_poset_search_bounded(p, parity, n, monkeypatch):
+    if p % 4 == 0 and parity == 1:
+        # odd m with 4 | p: no charge makes dim_end integral
+        with pytest.raises(ValueError):
+            build_poset(p, parity, n)
+        return
+    got = build_poset(p, parity, n)
+    monkeypatch.setattr(lens, "admissible_charges", _unbounded_charges)
+    assert got == build_poset(p, parity, n)
 
 
 # --------------------------------------------------------------- posets

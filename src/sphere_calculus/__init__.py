@@ -5,8 +5,7 @@ Modules:
                  polynomials in q and in the sphere class alpha
     elliptic  -- the blowup power series B, S, Delta, Q, q from
                  Weierstrass data, with machine-checked identities
-    model     -- formal evaluation of exceptional-class expressions
-                 under twist patterns
+    model     -- blowup-model moments and twist-count series
     embedded  -- structure equations of embedded spheres
     immersed  -- the inductive machine for immersed-sphere structure
                  equations in q-normal form, plus finite-type orders

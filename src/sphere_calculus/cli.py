@@ -60,18 +60,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact blowup-calculus engine: power series, "
         "structure equations, and lens-space charge posets.",
     )
-    parser.add_argument("--order", type=int, default=None,
-                        help="series truncation order (min %d)" % MIN_ORDER)
-    parser.add_argument("--output", default=None,
-                        help="write the document to this path")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                        help="series truncation order (min %d)" % MIN_ORDER)
-    common.add_argument("--output", default=argparse.SUPPRESS,
+    common.add_argument("--output", default=None,
                         help="write the document to this path")
+    ordered = argparse.ArgumentParser(add_help=False, parents=[common])
+    ordered.add_argument("--order", type=int, default=None,
+                         help="series truncation order (min %d)" % MIN_ORDER)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_series = sub.add_parser("series", parents=[common],
+    p_series = sub.add_parser("series", parents=[ordered],
                               help="emit a blowup power series")
     p_series.add_argument("--fn", required=True,
                           choices=["B", "S", "Delta", "Q", "q", "Qprime"])
@@ -96,20 +93,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--a", type=int, required=True)
     p_ft.add_argument("--format", default="text", choices=["text", "json"])
 
-    p_lens = sub.add_parser("lens", parents=[common], help="lens-space flat classes and posets")
+    p_lens = sub.add_parser("lens", help="lens-space flat classes and posets")
     lens_sub = p_lens.add_subparsers(dest="lens_command", required=True)
-    p_chi = lens_sub.add_parser("chi", help="flat character classes")
+    p_chi = lens_sub.add_parser("chi", parents=[common],
+                                help="flat character classes")
     p_chi.add_argument("--p", type=int, required=True)
     p_chi.add_argument("--parity", type=_parity, required=True)
     p_chi.add_argument("--format", default="text", choices=["text", "json"])
-    p_poset = lens_sub.add_parser("poset", help="charge poset J_n")
+    p_poset = lens_sub.add_parser("poset", parents=[common],
+                                  help="charge poset J_n")
     p_poset.add_argument("--p", type=int, required=True)
     p_poset.add_argument("--parity", type=_parity, required=True)
     p_poset.add_argument("--n", type=int, required=True)
     p_poset.add_argument("--format", default="dot",
                          choices=["dot", "ascii", "json"])
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run identity suites")
+    p_verify = sub.add_parser("verify", parents=[ordered],
+                              help="run identity suites")
     p_verify.add_argument("--suite", default="all",
                           choices=["elliptic", "embedded", "immersed",
                                    "lens", "all"])
@@ -155,7 +155,9 @@ def _verify_lens(order: int, lines):
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    order = args.order if args.order is not None else default_order()
+    order = getattr(args, "order", None)
+    if order is None:
+        order = default_order()
     if order < MIN_ORDER:
         parser.error("order must be at least %d" % MIN_ORDER)
 
@@ -177,46 +179,31 @@ def run(argv=None) -> int:
 
 def _dispatch(args, order: int) -> str:
     if args.command == "series":
-        bf = blowup_functions(order)
-        f = getattr(bf, args.fn)
-        if args.format == "json":
-            return emit.series_json(args.fn, f)
-        if args.format == "latex":
-            return emit.series_latex(args.fn, f)
-        return emit.series_text(args.fn, f)
+        f = getattr(blowup_functions(order), args.fn)
+        return getattr(emit, "series_" + args.format)(args.fn, f)
 
     if args.command == "embedded":
         rel = derive_embedded(args.n, args.epsilon)
-        if args.format == "json":
-            return emit.embedded_json(rel)
-        if args.format == "latex":
-            return emit.embedded_latex(rel)
-        return emit.embedded_text(rel)
+        return getattr(emit, "embedded_" + args.format)(rel)
 
     if args.command == "immersed":
         nf = derive_immersed(args.p, args.s, args.a)
-        if args.format == "json":
-            return emit.normal_form_json(nf)
-        if args.format == "latex":
-            return emit.normal_form_latex(nf)
-        return emit.normal_form_text(nf)
+        return getattr(emit, "normal_form_" + args.format)(nf)
 
     if args.command == "finite-type":
         r = finite_type_order(args.p, args.a)
         if args.format == "json":
-            import json as _json
-            return _json.dumps({
+            return emit._dump({
                 "schema": emit.SCHEMA, "kind": "finite-type-order",
                 "p": args.p, "a": args.a, "r": r,
-            }, sort_keys=True, indent=2) + "\n"
+            })
         return "r = %d\n" % r
 
     if args.command == "lens":
         if args.lens_command == "chi":
             classes = character_variety(args.p, args.parity)
-            if args.format == "json":
-                return emit.chi_json(args.p, args.parity, classes)
-            return emit.chi_text(args.p, args.parity, classes)
+            return getattr(emit, "chi_" + args.format)(
+                args.p, args.parity, classes)
         j = build_poset(args.p, args.parity, args.n)
         return emit.poset_emit(j, args.format)
 

@@ -47,13 +47,6 @@ class IdentityError(AssertionError):
 
 
 @dataclass(frozen=True)
-class WeierstrassData:
-    g2: PolyX
-    g3: PolyX
-    wp_times_z2: SeriesT
-
-
-@dataclass(frozen=True)
 class BlowupFunctions:
     B: SeriesT
     S: SeriesT
@@ -76,7 +69,7 @@ def _wp_laurent_coeffs(order: int):
     return c
 
 
-def wp_series(order: int) -> WeierstrassData:
+def wp_series(order: int) -> SeriesT:
     """z^2 * p(z) as a series, verified against the Weierstrass ODE."""
     if order < 8:
         raise ValueError("order must be at least 8")
@@ -88,7 +81,7 @@ def wp_series(order: int) -> WeierstrassData:
             coeffs[2 * k] = ck
     u = SeriesT(coeffs, order)
     _check_wp_ode(u, order)
-    return WeierstrassData(g2=G2, g3=G3, wp_times_z2=u)
+    return u
 
 
 def _check_wp_ode(u: SeriesT, order: int):
@@ -141,8 +134,7 @@ def build_blowup_functions(order: int) -> BlowupFunctions:
     # Work a little deeper internally so that derivatives and the two
     # formal integrations still deliver full precision at `order`.
     work = order + 4
-    wp = wp_series(work)
-    u = wp.wp_times_z2
+    u = wp_series(work)
 
     # p - 1/z^2 is an honest power series; integrate twice:
     # zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).

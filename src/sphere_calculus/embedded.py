@@ -21,7 +21,7 @@ from .model import (
     smb_insertion_series,
     smb_series,
 )
-from .rings import P_ONE, P_ZERO, PolyX, SeriesT, factorial, rat
+from .rings import P_ONE, P_ZERO, PolyX, SeriesT, rat
 
 
 class FitError(ValueError):
@@ -49,12 +49,6 @@ class EmbeddedRelation:
 
     def terms(self):
         return self.cosh_terms + self.sinh_terms
-
-    def coefficient(self, sigma_power: int, monomial) -> PolyX:
-        for p, c, mono in self.terms():
-            if p == sigma_power and mono == monomial:
-                return c
-        return P_ZERO
 
 
 def basis_monomials(n: int, epsilon: int, parity: int):
@@ -103,27 +97,6 @@ def sigma_powers(n: int, epsilon: int, parity: int):
     else:
         top = n - 3 if n % 2 == 0 else n - 2
     return list(range(1, top + 1, 2))
-
-
-def moment_matrix(n: int, epsilon: int, parity: str, order: int):
-    """Taylor-moment matrix of the case-table basis functions.
-
-    Entry (i, r) is (2r)! [t^(2r)] f_i for even parity, and the odd
-    analogue otherwise.  Rows are basis functions; the matrix is upper
-    triangular and, after dividing column r by its factorial, has
-    determinant one.
-    """
-    par = 0 if parity == "even" else 1
-    basis = basis_series(n, epsilon, par, order)
-    size = len(basis)
-    rows = []
-    for _, f in basis:
-        row = []
-        for r in range(size):
-            j = 2 * r + par
-            row.append(f[j] * factorial(j))
-        rows.append(row)
-    return rows
 
 
 def _solve_side(n: int, epsilon: int, parity: int, order: int):
@@ -307,11 +280,6 @@ _COR24 = {
         (3, (3, 1, 0)): PolyX.const(rat(1, 6)),
     },
 }
-
-
-def corollary_24_table():
-    """The printed low-n formulas, keyed by (n, epsilon)."""
-    return _COR24
 
 
 def verify_corollary_24(order: int = None) -> dict:

@@ -9,17 +9,12 @@ deterministic: equal inputs yield identical bytes.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 from .embedded import EmbeddedRelation
 from .immersed import NormalForm
 from .lens import PosetJ, is_central, render_poset
-from .rings import (
-    AlphaPoly,
-    PolyX,
-    SeriesT,
-    format_polyx,
-    rat_to_str,
-)
+from .rings import P_ONE, AlphaPoly, PolyX, SeriesT, rat_to_str
 
 SCHEMA = "sphere-calculus/1"
 
@@ -36,6 +31,13 @@ def alpha_obj(a: AlphaPoly):
     return [polyx_obj(c) for c in a.coeffs]
 
 
+def _wrap(expr: str) -> str:
+    """Parenthesise a compound or negative expression."""
+    if " " in expr or expr.startswith("-"):
+        return "(" + expr + ")"
+    return expr
+
+
 def _rat_latex(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
@@ -44,7 +46,38 @@ def _rat_latex(c) -> str:
     return r"%s\frac{%d}{%d}" % (sign, abs(num), den)
 
 
-def polyx_latex(p: PolyX, var: str = "x") -> str:
+# The two notations: each row holds what text and LaTeX write
+# differently; the renderers below are shared.
+_TEXT = SimpleNamespace(
+    pow="%s^%d", rat=rat_to_str, times="*", alpha="alpha",
+    scaled=lambda expr: _wrap(expr) + "*",
+    sigma="sigma", Delta="Delta",
+    embedded_coeff="(%s) ",
+    embedded="exp(t sigma) == %(body)s   "
+             "(n=%(n)d, epsilon=%(epsilon)d, order %(order)d)\n",
+    den=lambda s: _power(_TEXT, "(2-x*q)", s), frac="%s/%s",
+    nf_term="(%s)*%s%s", nf_rhs="D_w(%s * (%s))",
+    nf_line="D_w(%s%s(t*alpha)) = %s",
+)
+_LATEX = SimpleNamespace(
+    pow="%s^{%d}", rat=_rat_latex, times="", alpha=r"\alpha",
+    scaled=lambda expr: r"\left(%s\right)" % expr,
+    sigma=r"\sigma", Delta=r"\Delta",
+    embedded_coeff=r"\left(%s\right)",
+    embedded=r"e^{t\sigma} \equiv %(body)s" + "\n",
+    den="(2-xq)^{%d}".__mod__, frac=r"\frac{%s}{%s}",
+    nf_term=r"\left(%s\right)%s %s",
+    nf_rhs=r"D_w\!\left(%s\left(%s\right)\right)",
+    nf_line=r"D_w\!\left(%s \%s(t\alpha)\right) = %s",
+)
+
+
+def _power(notation, symbol: str, e: int) -> str:
+    return symbol if e == 1 else notation.pow % (symbol, e)
+
+
+def _poly(p: PolyX, notation) -> str:
+    """A polynomial in x, highest power first."""
     if not p:
         return "0"
     parts = []
@@ -53,15 +86,15 @@ def polyx_latex(p: PolyX, var: str = "x") -> str:
         if not c:
             continue
         if i == 0:
-            term = _rat_latex(c)
+            term = notation.rat(c)
         else:
-            xs = var if i == 1 else "%s^{%d}" % (var, i)
+            xs = _power(notation, "x", i)
             if c == 1:
                 term = xs
             elif c == -1:
                 term = "-" + xs
             else:
-                term = _rat_latex(c) + xs
+                term = notation.rat(c) + notation.times + xs
         parts.append(term)
     s = parts[0]
     for term in parts[1:]:
@@ -69,44 +102,20 @@ def polyx_latex(p: PolyX, var: str = "x") -> str:
     return s
 
 
-def _wrap(expr: str, always=False) -> str:
-    if always or " " in expr or expr.startswith("-"):
-        return "(" + expr + ")"
-    return expr
-
-
-def alpha_text(a: AlphaPoly, var: str = "alpha") -> str:
-    if not a:
-        return "0"
+def _sum(coeffs, var: str, notation) -> str:
+    """sum_i coeffs[i] var^i for PolyX coefficients, lowest power first."""
     parts = []
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(coeffs):
         if not c:
             continue
-        base = var if i == 1 else "%s^%d" % (var, i)
         if i == 0:
-            parts.append(format_polyx(c))
-        elif c == PolyX.const(1):
-            parts.append(base)
+            parts.append(_poly(c, notation))
+        elif c == P_ONE:
+            parts.append(_power(notation, var, i))
         else:
-            parts.append("%s*%s" % (_wrap(format_polyx(c)), base))
-    return " + ".join(parts)
-
-
-def alpha_latex(a: AlphaPoly, var: str = r"\alpha") -> str:
-    if not a:
-        return "0"
-    parts = []
-    for i, c in enumerate(a.coeffs):
-        if not c:
-            continue
-        base = var if i == 1 else "%s^{%d}" % (var, i)
-        if i == 0:
-            parts.append(polyx_latex(c))
-        elif c == PolyX.const(1):
-            parts.append(base)
-        else:
-            parts.append(r"\left(%s\right)%s" % (polyx_latex(c), base))
-    return " + ".join(parts)
+            parts.append(notation.scaled(_poly(c, notation))
+                         + _power(notation, var, i))
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------- series
@@ -122,90 +131,50 @@ def series_json(name: str, f: SeriesT) -> str:
     })
 
 
+def _series(name: str, f: SeriesT, notation) -> str:
+    return "%s = %s + O(%s)\n" % (
+        name, _sum(f.coeffs, "t", notation), notation.pow % ("t", f.order))
+
+
 def series_text(name: str, f: SeriesT) -> str:
-    parts = []
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(format_polyx(c))
-        else:
-            ts = "t" if i == 1 else "t^%d" % i
-            if c == PolyX.const(1):
-                parts.append(ts)
-            else:
-                parts.append("%s*%s" % (_wrap(format_polyx(c)), ts))
-    body = " + ".join(parts) or "0"
-    return "%s = %s + O(t^%d)\n" % (name, body, f.order)
+    return _series(name, f, _TEXT)
 
 
 def series_latex(name: str, f: SeriesT) -> str:
-    parts = []
-    for i, c in enumerate(f.coeffs):
-        if not c:
-            continue
-        if i == 0:
-            parts.append(polyx_latex(c))
-        else:
-            ts = "t" if i == 1 else "t^{%d}" % i
-            if c == PolyX.const(1):
-                parts.append(ts)
-            else:
-                parts.append(r"\left(%s\right)%s" % (polyx_latex(c), ts))
-    body = " + ".join(parts) or "0"
-    return "%s = %s + O(t^{%d})\n" % (name, body, f.order)
+    return _series(name, f, _LATEX)
 
 
 # ------------------------------------------------------------- embedded
 
 
-def _mono_text(s_exp, b_exp, d_exp) -> str:
-    out = []
-    for sym, e in (("S", s_exp), ("B", b_exp), ("Delta", d_exp)):
-        if e == 1:
-            out.append(sym)
-        elif e > 1:
-            out.append("%s^%d" % (sym, e))
-    return " ".join(out) or "1"
-
-
-def _mono_latex(s_exp, b_exp, d_exp) -> str:
-    out = []
-    for sym, e in (("S", s_exp), ("B", b_exp), (r"\Delta", d_exp)):
-        if e == 1:
-            out.append(sym)
-        elif e > 1:
-            out.append("%s^{%d}" % (sym, e))
-    return " ".join(out) or "1"
+def _embedded(rel: EmbeddedRelation, notation) -> str:
+    parts = []
+    for power, coeff, mono in rel.terms():
+        piece = " ".join(
+            _power(notation, sym, e)
+            for sym, e in zip(("S", "B", notation.Delta), mono) if e) or "1"
+        if coeff != P_ONE:
+            piece = notation.embedded_coeff % _poly(coeff, notation) + piece
+        if power:
+            piece = "%s %s" % (_power(notation, notation.sigma, power), piece)
+        parts.append(piece)
+    return notation.embedded % {
+        "body": " + ".join(parts) or "0", "n": rel.n,
+        "epsilon": rel.epsilon, "order": rel.order}
 
 
 def embedded_text(rel: EmbeddedRelation) -> str:
-    parts = []
-    for power, coeff, mono in rel.terms():
-        piece = _mono_text(*mono)
-        if coeff != PolyX.const(1):
-            piece = "%s %s" % (_wrap(format_polyx(coeff), always=True), piece)
-        if power:
-            sig = "sigma" if power == 1 else "sigma^%d" % power
-            piece = "%s %s" % (sig, piece)
-        parts.append(piece)
-    body = " + ".join(parts) or "0"
-    return "exp(t sigma) == %s   (n=%d, epsilon=%d, order %d)\n" % (
-        body, rel.n, rel.epsilon, rel.order)
+    return _embedded(rel, _TEXT)
 
 
 def embedded_latex(rel: EmbeddedRelation) -> str:
-    parts = []
-    for power, coeff, mono in rel.terms():
-        piece = _mono_latex(*mono)
-        if coeff != PolyX.const(1):
-            piece = r"\left(%s\right)%s" % (polyx_latex(coeff), piece)
-        if power:
-            sig = r"\sigma" if power == 1 else r"\sigma^{%d}" % power
-            piece = "%s %s" % (sig, piece)
-        parts.append(piece)
-    body = " + ".join(parts) or "0"
-    return r"e^{t\sigma} \equiv %s" % body + "\n"
+    return _embedded(rel, _LATEX)
+
+
+def _terms_obj(terms):
+    return [{"sigma_power": p, "coefficient": polyx_obj(c),
+             "monomial": {"S": m[0], "B": m[1], "Delta": m[2]}}
+            for p, c, m in terms]
 
 
 def embedded_json(rel: EmbeddedRelation) -> str:
@@ -215,80 +184,40 @@ def embedded_json(rel: EmbeddedRelation) -> str:
         "n": rel.n,
         "epsilon": rel.epsilon,
         "order": rel.order,
-        "cosh_terms": [
-            {"sigma_power": p, "coefficient": polyx_obj(c),
-             "monomial": {"S": m[0], "B": m[1], "Delta": m[2]}}
-            for p, c, m in rel.cosh_terms
-        ],
-        "sinh_terms": [
-            {"sigma_power": p, "coefficient": polyx_obj(c),
-             "monomial": {"S": m[0], "B": m[1], "Delta": m[2]}}
-            for p, c, m in rel.sinh_terms
-        ],
+        "cosh_terms": _terms_obj(rel.cosh_terms),
+        "sinh_terms": _terms_obj(rel.sinh_terms),
     })
 
 
 # ------------------------------------------------------------- immersed
 
 
-def _lhs_text(nf: NormalForm, side: str) -> str:
-    factor = "" if nf.r == 0 else (
-        "(x^2-4)*" if nf.r == 1 else "(x^2-4)^%d*" % nf.r)
-    return "D_w(%s%s(t*alpha))" % (factor, side)
-
-
-def _rhs_text(nf: NormalForm, coeffs, kernel: str) -> str:
-    if not coeffs:
-        return "0"
-    terms = []
-    for i, c in enumerate(coeffs):
-        qs = "" if i == 0 else ("q*" if i == 1 else "q^%d*" % i)
-        terms.append("%s%s%s" % (_wrap(alpha_text(c), always=True), "*" + qs
-                                 if qs else "*", kernel))
-    body = " + ".join(terms)
-    den = "" if nf.s == 0 else ("(2-x*q)" if nf.s == 1
-                                else "(2-x*q)^%d" % nf.s)
-    pre = "B^%d" % (-nf.a) if nf.a else ""
-    head = "/".join(x for x in [pre or "1", den] if x)
-    return "D_w(%s * (%s))" % (head, body)
+def _normal_form_lines(nf: NormalForm, notation):
+    """The cosh and sinh equations of a normal form, one line each."""
+    factor = (_power(notation, "(x^2-4)", nf.r) + notation.times
+              if nf.r else "")
+    head = notation.pow % ("B", -nf.a) if nf.a else "1"
+    if nf.s:
+        head = notation.frac % (head, notation.den(nf.s))
+    lines = []
+    for side, coeffs, kernel in (("cosh", nf.c, "Q'"), ("sinh", nf.d, "Q")):
+        terms = [notation.nf_term % (
+            _sum(c.coeffs, notation.alpha, notation),
+            _power(notation, "q", i) + notation.times if i else "", kernel)
+            for i, c in enumerate(coeffs)]
+        rhs = notation.nf_rhs % (head, " + ".join(terms)) if terms else "0"
+        lines.append(notation.nf_line % (factor, side, rhs))
+    return lines
 
 
 def normal_form_text(nf: NormalForm) -> str:
-    lines = [
-        "structure equation  p=%d s=%d a=%d  (r=%d, k=%d, k0=%d)"
-        % (nf.p, nf.s, nf.a, nf.r, nf.k, nf.k0),
-        "%s = %s" % (_lhs_text(nf, "cosh"), _rhs_text(nf, nf.c, "Q'")),
-        "%s = %s" % (_lhs_text(nf, "sinh"), _rhs_text(nf, nf.d, "Q")),
-    ]
-    return "\n".join(lines) + "\n"
+    header = ("structure equation  p=%d s=%d a=%d  (r=%d, k=%d, k0=%d)"
+              % (nf.p, nf.s, nf.a, nf.r, nf.k, nf.k0))
+    return "\n".join([header] + _normal_form_lines(nf, _TEXT)) + "\n"
 
 
 def normal_form_latex(nf: NormalForm) -> str:
-    factor = "" if nf.r == 0 else (
-        "(x^2-4)" if nf.r == 1 else "(x^2-4)^{%d}" % nf.r)
-    den = "" if nf.s == 0 else "(2-xq)^{%d}" % nf.s
-    pre = "B^{%d}" % (-nf.a) if nf.a else ""
-    lines = []
-    for side, coeffs, kernel in (
-        (r"\cosh", nf.c, "Q'"), (r"\sinh", nf.d, "Q")
-    ):
-        if not coeffs:
-            rhs = "0"
-        else:
-            terms = []
-            for i, c in enumerate(coeffs):
-                qs = "" if i == 0 else ("q" if i == 1 else "q^{%d}" % i)
-                terms.append(r"\left(%s\right)%s %s"
-                             % (alpha_latex(c), qs, kernel))
-            body = " + ".join(terms)
-            if den:
-                head = r"\frac{%s}{%s}" % (pre or "1", den)
-            else:
-                head = pre
-            rhs = r"D_w\!\left(%s\left(%s\right)\right)" % (head, body)
-        lines.append(
-            r"D_w\!\left(%s %s(t\alpha)\right) = %s" % (factor, side, rhs))
-    return "\n".join(lines) + "\n"
+    return "\n".join(_normal_form_lines(nf, _LATEX)) + "\n"
 
 
 def normal_form_json(nf: NormalForm) -> str:

@@ -41,6 +41,7 @@ from .rings import (
     PolyX,
     QPoly,
     factorial,
+    qpoly_bezout_check,
     rat,
 )
 
@@ -61,9 +62,6 @@ BEZOUT_STEP3 = (
     QPoly((X * X - 1, -X)),                              # x^2 - 1 - qx
     QPoly((PolyX.const(-3), -2 * X, P_ONE, X)),          # -3 - 2qx + q^2 + q^3 x
 )
-
-ONE_MINUS_Q2 = QPoly((P_ONE, P_ZERO, -P_ONE))
-TWO_MINUS_XQ = QPoly((PolyX.const(2), -X))
 
 
 def r_index(p: int, s: int) -> int:
@@ -143,27 +141,19 @@ def _sr(coeffs, mode, scale=None):
     return out
 
 
-def _entry(lst, i):
-    return lst[i] if 0 <= i < len(lst) else AlphaPoly()
-
-
-def _qpoly_times_list(f: QPoly, lst):
-    """Multiply a q-polynomial with PolyX coefficients into a list of
-    AlphaPoly q-coefficients."""
-    if not lst:
-        return []
-    out = [AlphaPoly() for _ in range(len(f.coeffs) + len(lst) - 1)]
-    for i, fi in enumerate(f.coeffs):
-        if not fi:
-            continue
-        for j, cj in enumerate(lst):
-            out[i + j] = out[i + j] + cj * fi
+def _combine(terms):
+    """sum f * lst over (QPoly f, list of AlphaPoly q-coefficients) pairs,
+    as a list of AlphaPoly q-coefficients."""
+    size = max((len(f.coeffs) + len(lst) - 1 for f, lst in terms if lst),
+               default=0)
+    out = [AlphaPoly() for _ in range(size)]
+    for f, lst in terms:
+        for i, fi in enumerate(f.coeffs):
+            if not fi:
+                continue
+            for j, cj in enumerate(lst):
+                out[i + j] = out[i + j] + cj * fi
     return out
-
-
-def _list_sub(lhs, rhs):
-    top = max(len(lhs), len(rhs))
-    return [_entry(lhs, i) - _entry(rhs, i) for i in range(top)]
 
 
 @lru_cache(maxsize=None)
@@ -356,36 +346,42 @@ def base_case(a: int) -> NormalForm:
     )
 
 
-def _assert_kernel_zero(ctx, a, pieces, order, what):
-    """Assert that a combination of q-normal-form sides evaluates to
-    zero modulo the rewrite rules of the reduction context.
+def _check_order(nf: NormalForm) -> int:
+    return max(12, 2 * max(nf.k, nf.k0, 0) + 10)
 
-    `pieces` is a list of (qlist, s_den, side, scale) entries; the
-    series sum_pieces scale * B^(-a)(2-xq)^(-s_den) K sum_i q^i
-    qlist[i] is expanded in t and every Taylor coefficient must reduce
-    to zero."""
+
+def _check_side(ctx, nf, out, side, terms, what, retained=False):
+    """Certify one side of a step from input `nf` to output `out`.
+
+    The step combines the transported input lists as sum f * lst over
+    the (q-polynomial, list) pairs in `terms`.  With `retained`, the
+    combination must equal the output's coefficients exactly up to the
+    output's top index.  Then the combination times (x^2-4)^r(nf), less
+    the output's coefficients times (x^2-4)^r(out), put into the output's
+    series B^(-a)(2-xq)^(-s) K sum_i q^i (...)_i, must have every Taylor
+    coefficient reduce to zero modulo the rewrite rules of `ctx`."""
+    combined = _combine(terms)
+    target = out.c if side == "cosh" else out.d
+    if retained:
+        for i in range(min(len(combined), len(target))):
+            if combined[i] - target[i]:
+                raise DerivationError(
+                    "%s %s coefficient %d mismatch" % (what, side, i))
+    order = _check_order(nf)
     total = [AlphaPoly() for _ in range(order)]
-    for qlist, s_den, side, scale in pieces:
+    for qlist, scale in ((combined, X2M4**nf.r), (target, -X2M4**out.r)):
         qlist = tuple(qlist)
         if not any(qlist):
             continue
-        exp = _expansion_coefficients(a, s_den, side, qlist, order)
+        exp = _expansion_coefficients(out.a, out.s, side, qlist, order)
         for j in range(order):
             total[j] = total[j] + exp[j] * scale
     for j in range(order):
         res = ctx.reduce(total[j])
         if res:
             raise DerivationError(
-                "%s falsified: t^%d residual reduces to %r" % (what, j, res)
-            )
-
-
-def _neg(lst):
-    return [-c for c in lst]
-
-
-def _check_order(nf: NormalForm) -> int:
-    return max(12, 2 * max(nf.k, nf.k0, 0) + 10)
+                "%s (%s) falsified: t^%d residual reduces to %r"
+                % (what, side, j, res))
 
 
 def step_raise_s(nf: NormalForm) -> NormalForm:
@@ -399,48 +395,29 @@ def step_raise_s(nf: NormalForm) -> NormalForm:
     if r_index(p, s) != nf.r:
         raise DerivationError("step 1 must preserve r")
     out = _make_target(p, s, a)
-    order = _check_order(nf)
+    # Both sides times 2-xq live over the denominator (2-xq)^s, so the
+    # canonical output enters the residual at exponent s, not s+1.  The
+    # whole residual sits under the common factor (x^2-4)^r; the
+    # reduction context knows the blown-down input equations as well.
+    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
+    half = rat(1, 2)
 
     # cosh: [1-q^2 weight] c~B  +  [1-xq+q^2 weight] d~S/2; the weights
     # sum to the new denominator factor 2-xq.  The retained coefficients
     # must match the canonical output exactly; the excess top
     # coefficients (the analogue of d_{k+2} = 0 and c_{k+1} = -d_{k+1})
     # vanish modulo the rewrite rules, which the residual check covers.
-    c_b = _sr(nf.c, "B")
-    d_s = _sr(nf.d, "S", rat(1, 2))
-    combined = [_entry(c_b, i) + _entry(d_s, i)
-                for i in range(max(len(c_b), len(d_s)))]
-    for i in range(min(len(combined), k + 1)):
-        if combined[i] - out.c[i]:
-            raise DerivationError("step 1 cosh coefficient %d mismatch" % i)
-    # Both sides times 2-xq live over the denominator (2-xq)^s, so the
-    # canonical output enters the residual at exponent s, not s+1.  The
-    # whole residual sits under the common factor (x^2-4)^r; the
-    # reduction context knows the blown-down input equations as well.
-    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
-    scale = X2M4**out.r
-    _assert_kernel_zero(
-        ctx, a,
-        [(combined, s, "cosh", scale), (list(out.c), s, "cosh", -scale)],
-        order, "step 1 (cosh)",
-    )
+    one = QPoly.const(1)
+    _check_side(ctx, nf, out, "cosh",
+                [(one, _sr(nf.c, "B")), (one, _sr(nf.d, "S", half))],
+                "step 1", retained=True)
 
     # sinh: [1-q^2 weight] d~B  +  [q weight] c~S/2; combine with the
     # multipliers 2 and 2q - x so the weights sum to 2-xq.
-    d_b = _sr(nf.d, "B")
-    c_s = _sr(nf.c, "S", rat(1, 2))
-    combined_s = [
-        2 * _entry(d_b, i) - _entry(c_s, i) * X + 2 * _entry(c_s, i - 1)
-        for i in range(max(len(d_b), len(c_s)) + 1)
-    ]
-    for i in range(min(len(combined_s), k0 + 1)):
-        if combined_s[i] - out.d[i]:
-            raise DerivationError("step 1 sinh coefficient %d mismatch" % i)
-    _assert_kernel_zero(
-        ctx, a,
-        [(combined_s, s, "sinh", scale), (list(out.d), s, "sinh", -scale)],
-        order, "step 1 (sinh)",
-    )
+    _check_side(ctx, nf, out, "sinh",
+                [(QPoly.const(2), _sr(nf.d, "B")),
+                 (QPoly((-X, PolyX.const(2))), _sr(nf.c, "S", half))],
+                "step 1", retained=True)
     return out
 
 
@@ -454,42 +431,26 @@ def step_p_odd(nf: NormalForm) -> NormalForm:
     if p % 2 != 1:
         raise DerivationError("step 2 requires odd target p")
     f, g, phi1, phi2 = BEZOUT_STEP2
-    if f * phi1 + g * phi2 != QPoly.const(X2M4):
+    if not qpoly_bezout_check(f, g, phi1, phi2, X2M4):
         raise DerivationError("step 2 resultant identity failed")
     out = _make_target(p, 0, a)
     if out.r != nf.r + 1:
         raise DerivationError("step 2 must increment r")
-    order = _check_order(nf)
+    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
+    half = rat(1, 2)
 
     # cosh: phi1 * [1-q^2 weight, c~B] + phi2 * [1-xq+q^2 weight, d~S/2]
-    c_b = _sr(nf.c, "B")
-    d_s = _sr(nf.d, "S", rat(1, 2))
-    payload = _list_sub(
-        _qpoly_times_list(phi1, c_b), _neg(_qpoly_times_list(phi2, d_s))
-    )
-    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
-    scale = X2M4**nf.r
-    _assert_kernel_zero(
-        ctx, a,
-        [(payload, 0, "cosh", scale), (list(out.c), 0, "cosh", -scale * X2M4)],
-        order, "step 2 (cosh)",
-    )
+    _check_side(ctx, nf, out, "cosh",
+                [(phi1, _sr(nf.c, "B")), (phi2, _sr(nf.d, "S", half))],
+                "step 2")
 
     # sinh: (x^2-4) * [1-q^2 weight, d~B] + q(x^2-4) * [q weight, c~S/2];
     # the weights combine to (1-q^2) + q*q = 1, trading the denominators
     # for one factor of x^2-4.
-    d_b = _sr(nf.d, "B")
-    c_s = _sr(nf.c, "S", rat(1, 2))
-    payload_s = _list_sub(
-        [c * X2M4 for c in d_b],
-        _neg(_qpoly_times_list(QPoly((P_ZERO, X2M4)), c_s)),
-    )
-    _assert_kernel_zero(
-        ctx, a,
-        [(payload_s, 0, "sinh", scale),
-         (list(out.d), 0, "sinh", -scale * X2M4)],
-        order, "step 2 (sinh)",
-    )
+    _check_side(ctx, nf, out, "sinh",
+                [(QPoly.const(X2M4), _sr(nf.d, "B")),
+                 (QPoly((P_ZERO, X2M4)), _sr(nf.c, "S", half))],
+                "step 2")
     return out
 
 
@@ -504,53 +465,28 @@ def step_p_even(nf: NormalForm) -> NormalForm:
     if p % 2 != 0 or p < 2:
         raise DerivationError("step 3 requires even target p >= 2")
     f, g, phi1, phi2 = BEZOUT_STEP3
-    if f * phi1 + g * phi2 != QPoly.const(X2M4):
+    if not qpoly_bezout_check(f, g, phi1, phi2, X2M4):
         raise DerivationError("step 3 resultant identity failed")
     out = _make_target(p, 0, a)
     if out.r != nf.r + 1:
         raise DerivationError("step 3 must increment r")
-    order = _check_order(nf)
-
-    # cosh: the twice-untwisted equation carries weight (1-q^2)^2; the
-    # twice-twisted one carries q(1-xq+q^2), whose free term must vanish
-    # so the index shift d_i = c_{i-1} leaves weight 1-xq+q^2.
-    c_bb = _sr(_sr(nf.c, "B"), "B")
-    c_ss = _sr(_sr(nf.c, "S"), "S", rat(1, 4))
-    if c_ss and c_ss[0]:
-        raise DerivationError("step 3 free term c_0 did not vanish")
-    shifted = c_ss[1:]
-    payload = _list_sub(
-        _qpoly_times_list(phi1, c_bb), _neg(_qpoly_times_list(phi2, shifted))
-    )
     ctx = ReductionContext(
         p, a,
         [(nf.p, nf.a, ("B", "B")), (nf.p, nf.a, ("B", "S")),
          (nf.p, nf.a, ("S", "S"))],
     )
-    scale = X2M4**nf.r
-    _assert_kernel_zero(
-        ctx, a,
-        [(payload, 0, "cosh", scale), (list(out.c), 0, "cosh", -scale * X2M4)],
-        order, "step 3 (cosh)",
-    )
 
-    # sinh mirror: d~BB with weight (1-q^2)^2 and d~SS/4 with weight
-    # q(1-xq+q^2); the free term vanishes just like on the cosh side,
-    # and the shifted list combines through the same Bezout pair.
-    d_bb = _sr(_sr(nf.d, "B"), "B")
-    d_ss = _sr(_sr(nf.d, "S"), "S", rat(1, 4))
-    if d_ss and d_ss[0]:
-        raise DerivationError("step 3 sinh free term did not vanish")
-    payload_s = _list_sub(
-        _qpoly_times_list(phi1, d_bb),
-        _neg(_qpoly_times_list(phi2, d_ss[1:])),
-    )
-    _assert_kernel_zero(
-        ctx, a,
-        [(payload_s, 0, "sinh", scale),
-         (list(out.d), 0, "sinh", -scale * X2M4)],
-        order, "step 3 (sinh)",
-    )
+    # On each side the twice-untwisted equation carries weight
+    # (1-q^2)^2; the twice-twisted one (scaled by 1/4) carries
+    # q(1-xq+q^2), whose free term must vanish so the index shift
+    # d_i = c_{i-1} leaves weight 1-xq+q^2.
+    for side, coeffs in (("cosh", nf.c), ("sinh", nf.d)):
+        twisted = _sr(_sr(coeffs, "S"), "S", rat(1, 4))
+        if twisted and twisted[0]:
+            raise DerivationError("step 3 %s free term did not vanish" % side)
+        _check_side(ctx, nf, out, side,
+                    [(phi1, _sr(_sr(coeffs, "B"), "B")), (phi2, twisted[1:])],
+                    "step 3")
     return out
 
 

@@ -175,7 +175,6 @@ def verify_poset(j: PosetJ):
             raise PosetError("edge energy is not the minimal energy")
     # Edge energies equal charge differences, so path sums telescope;
     # confirm path independence over all vertex pairs regardless.
-    sums = {}
     adjacency = {}
     for a, b, energy in j.edges:
         adjacency.setdefault(a, []).append((b, energy))
@@ -192,7 +191,6 @@ def verify_poset(j: PosetJ):
                 else:
                     seen[w] = total
                     stack.append(w)
-        sums[start] = seen
     return True
 
 

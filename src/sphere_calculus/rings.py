@@ -12,22 +12,18 @@ import math
 
 try:
     from gmpy2 import mpq as _mpq
-
-    def rat(num=0, den=1):
-        return _mpq(num, den)
-
-    _RAT_TYPES = (type(_mpq(0)), int)
-except ImportError:  # pragma: no cover - gmpy2 is normally present
+except ImportError:
     from fractions import Fraction as _mpq
 
-    def rat(num=0, den=1):
-        return _mpq(num, den)
 
-    _RAT_TYPES = (_mpq, int)
+def rat(num=0, den=1):
+    return _mpq(num, den)
+
 
 ZERO = rat(0)
 ONE = rat(1)
 _RAT = type(ZERO)
+_RAT_TYPES = (_RAT, int)
 
 NEG_INF = float("-inf")
 
@@ -82,9 +78,6 @@ class PolyX:
 
     def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def constant(self):
         return self[0]
@@ -157,24 +150,23 @@ class PolyX:
         return NotImplemented
 
     def __pow__(self, n: int):
-        out = PolyX.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __call__(self, value):
-        """Evaluate at a rational value (Horner)."""
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return _power(self, n, P_ONE)
 
     def __repr__(self):
-        return "PolyX(%s)" % (format_polyx(self),)
+        return "PolyX(%s)" % ", ".join(map(rat_to_str, self.coeffs))
+
+
+def _power(base, n: int, one):
+    """base**n by square-and-multiply, for n >= 0."""
+    if n < 0:
+        raise ValueError("negative exponent %d" % n)
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
 
 
 def _as_polyx(v):
@@ -187,32 +179,6 @@ def _as_polyx(v):
 
 P_ZERO = PolyX()
 P_ONE = PolyX.const(1)
-P_X = PolyX.x()
-
-
-def format_polyx(p: PolyX, var: str = "x") -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            term = rat_to_str(c)
-        else:
-            xs = var if i == 1 else "%s^%d" % (var, i)
-            if c == 1:
-                term = xs
-            elif c == -1:
-                term = "-" + xs
-            else:
-                term = "%s*%s" % (rat_to_str(c), xs)
-        parts.append(term)
-    s = parts[0]
-    for term in parts[1:]:
-        s += " - " + term[1:] if term.startswith("-") else " + " + term
-    return s
 
 
 class SeriesT:
@@ -239,10 +205,6 @@ class SeriesT:
     @staticmethod
     def one(order: int) -> "SeriesT":
         return SeriesT((P_ONE,), order)
-
-    @staticmethod
-    def t(order: int) -> "SeriesT":
-        return SeriesT((P_ZERO, P_ONE), order)
 
     def __getitem__(self, k: int) -> PolyX:
         if k >= self.order:
@@ -320,14 +282,7 @@ class SeriesT:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = SeriesT.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, SeriesT.one(self.order))
 
     def shift(self, k: int) -> "SeriesT":
         """Multiply by t^k; the known window moves up with the series."""
@@ -394,39 +349,8 @@ class SeriesT:
             out.append(acc * rat(1, n))
         return SeriesT(out, self.order)
 
-    def even_part(self) -> "SeriesT":
-        return SeriesT(
-            tuple(c if k % 2 == 0 else P_ZERO for k, c in enumerate(self.coeffs)),
-            self.order,
-        )
-
-    def odd_part(self) -> "SeriesT":
-        return SeriesT(
-            tuple(c if k % 2 == 1 else P_ZERO for k, c in enumerate(self.coeffs)),
-            self.order,
-        )
-
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                terms.append("(%s)t^%d" % (format_polyx(c), k))
-            if len(terms) >= 6:
-                terms.append("...")
-                break
-        return "SeriesT[%s + O(t^%d)]" % (" + ".join(terms) or "0", self.order)
-
-
-def series_inverse(f: SeriesT) -> SeriesT:
-    return f.inverse()
-
-
-def series_sqrt(f: SeriesT) -> SeriesT:
-    return f.sqrt()
-
-
-def series_rescale(f: SeriesT, c) -> SeriesT:
-    return f.rescale(c)
+        return "SeriesT(%r, order=%d)" % (list(self.coeffs), self.order)
 
 
 class RingPoly:
@@ -523,37 +447,10 @@ class RingPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = type(self).const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def shift(self, k: int):
-        """Multiply by symbol^k."""
-        if not self.coeffs:
-            return self
-        return type(self)((P_ZERO,) * k + self.coeffs)
-
-    def __call__(self, value: SeriesT) -> SeriesT:
-        """Substitute a series for the symbol."""
-        acc = SeriesT.zero(value.order)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def map_coeffs(self, fn):
-        return type(self)(tuple(fn(c) for c in self.coeffs))
+        return _power(self, n, type(self).const(1))
 
     def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                terms.append("(%s)%s^%d" % (format_polyx(c), self.symbol, i))
-        return "%s[%s]" % (type(self).__name__, " + ".join(terms) or "0")
+        return "%s(%r)" % (type(self).__name__, list(self.coeffs))
 
 
 class QPoly(RingPoly):
@@ -561,14 +458,6 @@ class QPoly(RingPoly):
 
     __slots__ = ()
     symbol = "q"
-
-    def is_doubly_monic(self) -> bool:
-        """Constant and leading coefficients both equal to +-1."""
-        if not self.coeffs:
-            return False
-        lead, const = self.coeffs[-1], self.coeffs[0]
-        pm = (P_ONE, -P_ONE)
-        return lead in pm and const in pm
 
 
 class AlphaPoly(RingPoly):
@@ -582,43 +471,6 @@ class AlphaPoly(RingPoly):
         return all(
             not c for i, c in enumerate(self.coeffs) if i % 2 != parity
         )
-
-
-class ExactDivisionError(ArithmeticError):
-    """Raised when a division that an identity requires to be exact is not."""
-
-
-def qpoly_exact_div(g: QPoly, f: QPoly) -> QPoly:
-    """Divide g by a doubly monic f, requiring a zero remainder.
-
-    When deg g = k + deg f the quotient degree is checked against k.
-    """
-    if not f.is_doubly_monic():
-        raise ExactDivisionError("divisor is not doubly monic")
-    if not g:
-        return QPoly()
-    d = len(f.coeffs) - 1
-    lead = f.coeffs[-1]
-    inv_lead = P_ONE / lead.constant()
-    rem = list(g.coeffs)
-    quo = [P_ZERO] * max(len(rem) - d, 0)
-    for top in range(len(rem) - 1, d - 1, -1):
-        c = rem[top]
-        if not c:
-            continue
-        qc = c * inv_lead
-        quo[top - d] = qc
-        for j, fj in enumerate(f.coeffs):
-            rem[top - d + j] = rem[top - d + j] - qc * fj
-    if any(rem):
-        raise ExactDivisionError("division not exact")
-    result = QPoly(quo)
-    k = g.degree - d
-    if result.degree > k:
-        raise ExactDivisionError(
-            "quotient degree %s exceeds the bound %s" % (result.degree, k)
-        )
-    return result
 
 
 def qpoly_bezout_check(f: QPoly, g: QPoly, phi1: QPoly, phi2: QPoly, C: PolyX) -> bool:

@@ -96,6 +96,44 @@ def test_output_file(tmp_path, capsys):
     assert doc["order"] == 8
 
 
+LEAVES = [
+    ["series", "--fn", "B", "--order", "8"],
+    ["embedded", "--n", "2", "--epsilon", "0"],
+    ["immersed", "--p", "1", "--s", "1", "--a", "0"],
+    ["finite-type", "--p", "1", "--a", "0", "--format", "json"],
+    ["lens", "chi", "--p", "6", "--parity", "even"],
+    ["lens", "poset", "--p", "6", "--parity", "odd", "--n", "10"],
+    ["verify", "--suite", "lens"],
+]
+
+
+@pytest.mark.parametrize("argv", LEAVES, ids=lambda argv: " ".join(argv[:2]))
+def test_output_matches_stdout(argv, tmp_path, capsys):
+    code, out = capture(capsys, argv)
+    assert code == 0
+    target = tmp_path / "doc"
+    assert run(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["embedded", "--n", "2", "--epsilon", "0", "--order", "40"],
+    ["immersed", "--p", "1", "--s", "1", "--a", "0", "--order", "40"],
+    ["finite-type", "--p", "1", "--a", "0", "--order", "40"],
+    ["lens", "chi", "--p", "6", "--parity", "even", "--order", "40"],
+    ["lens", "--order", "40", "chi", "--p", "6", "--parity", "even"],
+    ["lens", "poset", "--p", "6", "--parity", "odd", "--n", "10",
+     "--order", "40"],
+    ["--order", "40", "series", "--fn", "Q"],
+    ["--output", "doc", "series", "--fn", "Q"],
+], ids=" ".join)
+def test_misplaced_option_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+
+
 def test_env_var_default(monkeypatch):
     monkeypatch.delenv("SPHERE_CALCULUS_ORDER", raising=False)
     assert default_order() == 32

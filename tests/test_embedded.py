@@ -7,7 +7,6 @@ import pytest
 from sphere_calculus.embedded import (
     DerivationError,
     basis_monomials,
-    corollary_24_table,
     derive_embedded,
     specialize_two_e,
     verify_corollary_24,
@@ -34,9 +33,14 @@ def test_minus_two_sphere_formula():
 
 def test_minus_three_sphere_formula():
     rel = derive_embedded(3, 1)
-    table = corollary_24_table()[(3, 1)]
     derived = {(p, mono): c for p, c, mono in rel.terms()}
-    assert derived == table
+    # exp(t sigma) == Delta B + sigma (S B^2 + (x/6) S^3) + sigma^3 (1/6) S^3
+    assert derived == {
+        (0, (0, 1, 1)): PolyX.const(1),
+        (1, (1, 2, 0)): PolyX.const(1),
+        (1, (3, 0, 0)): PolyX.x() * rat(1, 6),
+        (3, (3, 0, 0)): PolyX.const(rat(1, 6)),
+    }
 
 
 @pytest.mark.parametrize("n", range(2, 11))

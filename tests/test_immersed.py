@@ -104,12 +104,14 @@ def test_base_case_matches_embedded():
         nf = base_case(a)
         rel = derive_embedded(-a, 1, -a + 8)
         n = -a
+        terms = {(p, mono): c for p, c, mono in rel.terms()}
+        coefficient = lambda p, mono: terms.get((p, mono), PolyX())
         for i, ci in enumerate(nf.c):
             for power, coeff in enumerate(ci.coeffs):
-                assert rel.coefficient(power, (2 * i, n - 2 * i - 2, 1)) == coeff
+                assert coefficient(power, (2 * i, n - 2 * i - 2, 1)) == coeff
         for i, di in enumerate(nf.d):
             for power, coeff in enumerate(di.coeffs):
-                assert rel.coefficient(power, (2 * i + 1, n - 2 * i - 1, 0)) == coeff
+                assert coefficient(power, (2 * i + 1, n - 2 * i - 1, 0)) == coeff
 
 
 def test_base_case_equals_universal():

@@ -1,18 +1,14 @@
-"""Formal evaluation of exceptional-class expressions under twists."""
+"""Blowup-model values: moments and the twist-count series."""
 
 import pytest
 
 from sphere_calculus.elliptic import blowup_functions
 from sphere_calculus.model import (
-    FormalExpr,
-    TwistPattern,
-    evaluate,
     moments,
     sigma_power_insertion_value,
     sigma_power_value,
-    verify_relation,
 )
-from sphere_calculus.rings import PolyX, SeriesT, factorial, rat
+from sphere_calculus.rings import PolyX, factorial
 
 X = PolyX.x()
 
@@ -36,25 +32,6 @@ def test_moment_parity():
         assert not moments("S", j)
 
 
-def test_exp_sigma_evaluates_to_product():
-    order = 12
-    bf = blowup_functions(order)
-    expr = FormalExpr.exp_sigma(3, order)
-    got = evaluate(expr, TwistPattern((0, 1, 0)), order)
-    want = (bf.B * bf.S * bf.B).truncate(order)
-    assert (got - want).is_zero()
-
-
-def test_monomial_derivative_evaluation():
-    order = 12
-    bf = blowup_functions(order + 1)
-    # e * exp(t e) evaluates to the derivative of the class series
-    expr = FormalExpr.monomial((1,), (1,), SeriesT.one(order))
-    got = evaluate(expr, TwistPattern((0,)), order)
-    want = bf.B.derivative().truncate(order)
-    assert (got - want).is_zero()
-
-
 def test_sigma_power_values():
     order = 12
     bf = blowup_functions(order)
@@ -71,14 +48,3 @@ def test_insertion_values():
         assert sigma_power_insertion_value(3, 1, p, order) == f[p] * factorial(p)
     with pytest.raises(ValueError):
         sigma_power_insertion_value(2, 0, 1, order)
-
-
-def test_verify_relation_detects_mismatch():
-    order = 10
-    lhs = FormalExpr.exp_sigma(2, order)
-    rhs = FormalExpr.exp_sigma(2, order).scaled(SeriesT.one(order) * 2)
-    twists = [TwistPattern((0, 0))]
-    assert verify_relation(lhs, lhs, twists, order)
-    report = verify_relation(lhs, rhs, twists, order)
-    assert not report
-    assert report.failures[0][1] == 0  # first failing t-power

@@ -160,6 +160,8 @@ def run(argv=None) -> int:
         order = default_order()
     if order < MIN_ORDER:
         parser.error("order must be at least %d" % MIN_ORDER)
+    if args.output:
+        _check_output(parser, args.output)
 
     try:
         doc = _dispatch(args, order)
@@ -170,11 +172,33 @@ def run(argv=None) -> int:
         parser.error(str(exc))
 
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(doc)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(doc)
+        except OSError as exc:
+            _cannot_write(parser, args.output, exc.strerror or str(exc))
     else:
         sys.stdout.write(doc)
     return 0
+
+
+def _check_output(parser, path: str):
+    """Reject an --output path that cannot be written, before any work
+    and without creating or truncating it."""
+    target = os.path.abspath(path)
+    directory = os.path.dirname(target)
+    if os.path.isdir(target):
+        _cannot_write(parser, path, "Is a directory")
+    if not os.path.isdir(directory):
+        _cannot_write(parser, path, "No such directory")
+    if not os.access(target if os.path.exists(target) else directory,
+                     os.W_OK):
+        _cannot_write(parser, path, "Permission denied")
+
+
+def _cannot_write(parser, path: str, reason: str):
+    parser.exit(2, "%s: error: cannot write --output %s: %s\n"
+                % (parser.prog, path, reason))
 
 
 def _dispatch(args, order: int) -> str:

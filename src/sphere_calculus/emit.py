@@ -81,8 +81,9 @@ def _poly(p: PolyX, notation) -> str:
     if not p:
         return "0"
     parts = []
-    for i in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[i]
+    coeffs = p.coeffs
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
         if i == 0:

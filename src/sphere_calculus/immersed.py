@@ -48,6 +48,9 @@ from .rings import (
 X = PolyX.x()
 X2M4 = X * X - 4
 
+# The shallowest t-order a step checks its residual through.
+CHECK_ORDER_MIN = 12
+
 # The two resultant combinations used by the double-point steps; both
 # reduce to the constant x^2 - 4.
 BEZOUT_STEP2 = (
@@ -121,16 +124,15 @@ def shift_reduce(poly: AlphaPoly, mode: str) -> AlphaPoly:
     """
     if mode not in ("B", "S"):
         raise ValueError("mode must be 'B' or 'S'")
+    moms = [moments(mode, j) for j in range(len(poly.coeffs))]
     out = [P_ZERO] * max(len(poly.coeffs), 1)
     for p, gamma in enumerate(poly.coeffs):
         if not gamma:
             continue
         for j in range(p + 1):
-            mom = moments(mode, j)
-            if not mom:
-                continue
-            w = gamma * (rat(math.comb(p, j)) * rat(2) ** j) * mom
-            out[p - j] = out[p - j] + w
+            if moms[j]:
+                w = gamma * moms[j] * (math.comb(p, j) << j)
+                out[p - j] = out[p - j] + w
     return AlphaPoly(out)
 
 
@@ -171,7 +173,10 @@ def universal_coefficients(a: int, s: int, side: str):
         top, par = k0_index(a, s), 1
     if top < 0:
         return ()
-    weights = _weights(a, s, side, top + 1, max(8, 2 * top + par + 2))
+    # Build at least as deep as every step check reads (_check_order),
+    # so that the check seldom has to rebuild the weight table.
+    weights = _weights(a, s, side, top + 1,
+                       max(CHECK_ORDER_MIN, 2 * top + par + 2))
     out = []
     for j in range(top + 1):
         tp = 2 * j + par
@@ -221,9 +226,12 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
     series B^(-a) (2-xq)^(-s) sum_i q^i K c_i(alpha) with K = Q' on the
     cosh side and K = Q on the sinh side.  Alpha stays symbolic."""
     coeffs = nf.c if side == "cosh" else nf.d
-    return _expansion_coefficients(
-        nf.a, nf.s, side, tuple(coeffs), tpow + 1
-    )[tpow] * factorial(tpow)
+    out = AlphaPoly()
+    for ci, weight in zip(coeffs, _weights(nf.a, nf.s, side, len(coeffs),
+                                           tpow + 1)):
+        if ci and weight[tpow]:
+            out = out + ci * weight[tpow]
+    return out * factorial(tpow)
 
 
 @lru_cache(maxsize=None)
@@ -251,15 +259,18 @@ def _chain_relation(p: int, s: int, a: int, chain, m: int):
     shift_reduce along the chain keeps it a relation, now on the class
     of the blown-down sphere.  Returns (r, relation) or None when m is
     within the equation's retained range (no rule available)."""
+    if chain:
+        # Chains sharing a prefix share its transport.
+        got = _chain_relation(p, s, a, chain[:-1], m)
+        if got is None:
+            return None
+        return got[0], shift_reduce(got[1], chain[-1])
     eq = _make_target(p, s, a)
     side = "sinh" if m % 2 else "cosh"
     bound = eq.k0 if m % 2 else eq.k
     if m // 2 <= bound:
         return None
-    rel = AlphaPoly.gen(m) - expansion_coefficient(eq, side, m)
-    for mode in chain:
-        rel = shift_reduce(rel, mode)
-    return eq.r, rel
+    return eq.r, AlphaPoly.gen(m) - expansion_coefficient(eq, side, m)
 
 
 class ReductionContext:
@@ -296,17 +307,31 @@ class ReductionContext:
                 return
             rel = rel * piv[d] - piv * rel[d]
 
+    def _keys(self, mmax: int):
+        """The _chain_relation arguments that loading through mmax
+        inserts, in insertion order."""
+        return [(p_src, s, a_src, chain, m)
+                for m in range(self._loaded + 1, mmax + 1)
+                for p_src, a_src, chain in self.sources
+                for s in range(p_src, -1, -1)]
+
+    def prefetch(self, mmax: int):
+        """Compute, deepest first, the relations that loading through
+        mmax will insert.  The t^m relation reads its weight table at
+        order m + 1, so each table is built once, at the deepest order
+        read, instead of once per load.  Nothing is inserted."""
+        for key in reversed(self._keys(mmax)):
+            _chain_relation(*key)
+
     def _load(self, mmax: int):
-        for m in range(self._loaded + 1, mmax + 1):
-            for p_src, a_src, chain in self.sources:
-                for s in range(p_src, -1, -1):
-                    got = _chain_relation(p_src, s, a_src, chain, m)
-                    if got is None:
-                        continue
-                    need, rel = got
-                    if need:
-                        rel = rel * X2M4**need
-                    self._insert(rel)
+        for key in self._keys(mmax):
+            got = _chain_relation(*key)
+            if got is None:
+                continue
+            need, rel = got
+            if need:
+                rel = rel * X2M4**need
+            self._insert(rel)
         self._loaded = max(self._loaded, mmax)
 
     def reduce(self, poly: AlphaPoly) -> AlphaPoly:
@@ -347,7 +372,7 @@ def base_case(a: int) -> NormalForm:
 
 
 def _check_order(nf: NormalForm) -> int:
-    return max(12, 2 * max(nf.k, nf.k0, 0) + 10)
+    return max(CHECK_ORDER_MIN, 2 * max(nf.k, nf.k0, 0) + 10)
 
 
 def _check_side(ctx, nf, out, side, terms, what, retained=False):
@@ -376,6 +401,10 @@ def _check_side(ctx, nf, out, side, terms, what, retained=False):
         exp = _expansion_coefficients(out.a, out.s, side, qlist, order)
         for j in range(order):
             total[j] = total[j] + exp[j] * scale
+    degrees = [t.degree for t in total if t]
+    if degrees:
+        # reduce() loads relations through each residual's degree + 2.
+        ctx.prefetch(max(degrees) + 2)
     for j in range(order):
         res = ctx.reduce(total[j])
         if res:

@@ -1,14 +1,17 @@
 """Exact arithmetic foundation: rationals, polynomials in x, truncated
 power series in t, and polynomials in q.
 
-All coefficients are exact rationals (gmpy2.mpq when available, else
-fractions.Fraction).  Every container here is immutable after
-construction; all operations return new values.
+All coefficients are exact rationals.  A polynomial in x stores Python
+ints over one common denominator, so its arithmetic is integer
+arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
+installed, else fractions.Fraction.  Every container here is immutable
+after construction; all operations return new values.
 """
 
 from __future__ import annotations
 
 import math
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as _mpq
@@ -28,14 +31,6 @@ _RAT_TYPES = (_RAT, int)
 NEG_INF = float("-inf")
 
 
-def rat_from_str(s: str):
-    """Parse "num/den" or plain integer strings."""
-    if "/" in s:
-        num, den = s.split("/")
-        return rat(int(num), int(den))
-    return rat(int(s))
-
-
 def rat_to_str(r) -> str:
     r = rat(r)
     if r.denominator == 1:
@@ -50,101 +45,190 @@ def _strip(coeffs):
     return tuple(coeffs[:n])
 
 
-class PolyX:
-    """Dense polynomial in the point-class symbol x over the rationals."""
+def _int_pair(c):
+    """(numerator, denominator) of a rational or int as Python ints."""
+    if type(c) is int:
+        return c, 1
+    if type(c) is not _RAT:
+        c = rat(c)
+    return int(c.numerator), int(c.denominator)
 
-    __slots__ = ("coeffs",)
+
+def _sum(p: "PolyX", q: "PolyX", sign: int) -> "PolyX":
+    """p + sign * q."""
+    a, da = p.num, p.den
+    b, db = q.num, q.den
+    if not b:
+        return p
+    if not a:
+        return q if sign == 1 else -q
+    g = gcd(da, db)
+    fa, fb = db // g, da // g * sign
+    if fa != 1:
+        a = [c * fa for c in a]
+    if len(a) < len(b):
+        out = [c * fb for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    else:
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c * fb
+    # A prime that divides the common denominator but not g divides
+    # exactly one of da, db and so cannot divide every numerator.
+    return _canon(out, da * fa, g != 1)
+
+
+_new = object.__new__
+
+
+def _make(num: tuple, den: int) -> "PolyX":
+    """The PolyX num/den, which the caller guarantees is canonical."""
+    p = _new(PolyX)
+    p.num = num
+    p.den = den
+    return p
+
+
+def _canon(num, den: int, reduce: bool = True) -> "PolyX":
+    """The PolyX num/den for int numerators and a positive denominator:
+    trailing zeros stripped and, with `reduce`, the common factor of
+    `den` and every numerator divided out."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return P_ZERO
+    if reduce and den != 1:
+        g = gcd(den, *num[:n])
+        if g != 1:
+            return _make(tuple([c // g for c in num[:n]]), den // g)
+    return _make(tuple(num[:n]), den)
+
+
+class PolyX:
+    """Dense polynomial in the point-class symbol x over the rationals.
+
+    Stored as Python-int numerators `num` over one positive common
+    denominator `den`, in lowest terms: gcd(den, *num) == 1, no trailing
+    zero numerator, and the zero polynomial is ((), 1).  Equal
+    polynomials therefore have equal (num, den).  Rational coefficients
+    are formed only when read through `[]`, `constant()` or `coeffs`.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, _RAT_TYPES):
-            coeffs = (rat(coeffs),)
-        self.coeffs = _strip(tuple(c if type(c) is _RAT else rat(c) for c in coeffs))
+            coeffs = (coeffs,)
+        pairs = [_int_pair(c) for c in coeffs]
+        den = lcm(*[d for _, d in pairs])
+        # Over the lcm of denominators in lowest terms, the numerators
+        # have no common factor with it.
+        p = _canon([n * (den // d) for n, d in pairs], den, False)
+        self.num, self.den = p.num, p.den
 
     @staticmethod
     def const(c) -> "PolyX":
-        return PolyX((rat(c),))
+        return PolyX((c,))
 
     @staticmethod
     def x(power: int = 1) -> "PolyX":
-        return PolyX((ZERO,) * power + (ONE,))
+        return _make((0,) * power + (1,), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as rationals, lowest power first."""
+        den = self.den
+        return tuple(_mpq(c, den) for c in self.num)
 
     @property
     def degree(self):
         """Degree, with -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.num) - 1 if self.num else NEG_INF
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __getitem__(self, i: int):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+        num = self.num
+        return _mpq(num[i], self.den) if 0 <= i < len(num) else ZERO
 
     def constant(self):
         return self[0]
 
     def is_unit(self) -> bool:
         """Invertible in PolyX: a nonzero constant."""
-        return len(self.coeffs) == 1
+        return len(self.num) == 1
 
     def __eq__(self, other):
-        other = _as_polyx(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if type(other) is not PolyX:
+            other = _as_polyx(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self):
-        return PolyX(tuple(-c for c in self.coeffs))
+        return _make(tuple([-c for c in self.num]), self.den)
 
     def __add__(self, other):
-        other = _as_polyx(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return PolyX(out)
+        if type(other) is not PolyX:
+            other = _as_polyx(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_polyx(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not PolyX:
+            other = _as_polyx(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
-        return _as_polyx(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, _RAT_TYPES):
-            c = rat(other)
-            return PolyX(tuple(a * c for a in self.coeffs))
         other = _as_polyx(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        return _sum(other, self, -1)
+
+    def __mul__(self, other):
+        if type(other) is not PolyX:
+            if isinstance(other, _RAT_TYPES):
+                n, d = _int_pair(other)
+                return _canon([c * n for c in self.num], self.den * d)
+            other = _as_polyx(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.num, other.num
         if not a or not b:
-            return PolyX()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = out[i + j] + ai * bj
-        return PolyX(out)
+            return P_ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            b0 = b[0]
+            return _canon([c * b0 for c in a], self.den * other.den)
+        out = [0] * (len(a) + len(b) - 1)
+        for j, bj in enumerate(b):
+            if bj:
+                for i, ai in enumerate(a, j):
+                    out[i] += ai * bj
+        return _canon(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, _RAT_TYPES):
-            c = rat(other)
-            return PolyX(tuple(a / c for a in self.coeffs))
+            n, d = _int_pair(other)
+            if not n:
+                raise ZeroDivisionError("PolyX division by zero")
+            if n < 0:
+                n, d = -n, -d
+            return _canon([c * d for c in self.num], self.den * n)
         if isinstance(other, PolyX) and other.is_unit():
             return self / other.constant()
         return NotImplemented
@@ -177,8 +261,24 @@ def _as_polyx(v):
     return NotImplemented
 
 
-P_ZERO = PolyX()
-P_ONE = PolyX.const(1)
+P_ZERO = _make((), 1)
+P_ONE = _make((1,), 1)
+
+
+def _lift(polys):
+    """The numerators of `polys` over their common denominator, and that
+    denominator."""
+    den = lcm(*[p.den for p in polys])
+    return [p.num if p.den == den else [c * (den // p.den) for c in p.num]
+            for p in polys], den
+
+
+def _series(coeffs, order: int) -> "SeriesT":
+    """The series with exactly `order` PolyX coefficients `coeffs`."""
+    f = _new(SeriesT)
+    f.coeffs = tuple(coeffs)
+    f.order = order
+    return f
 
 
 class SeriesT:
@@ -214,7 +314,7 @@ class SeriesT:
     def truncate(self, order: int) -> "SeriesT":
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
-        return SeriesT(self.coeffs[:order], order)
+        return _series(self.coeffs[:order], order)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -237,14 +337,13 @@ class SeriesT:
         raise TypeError("SeriesT equality is order-relative; not hashable")
 
     def __neg__(self):
-        return SeriesT(tuple(-c for c in self.coeffs), self.order)
+        return _series([-c for c in self.coeffs], self.order)
 
     def __add__(self, other):
         if isinstance(other, SeriesT):
             n = min(self.order, other.order)
-            return SeriesT(
-                tuple(a + b for a, b in zip(self.coeffs[:n], other.coeffs[:n])), n
-            )
+            return _series([a + b for a, b in zip(self.coeffs, other.coeffs)],
+                           n)
         p = _as_polyx(other)
         if p is NotImplemented:
             return NotImplemented
@@ -256,27 +355,45 @@ class SeriesT:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, SeriesT) else -_as_polyx(other))
+        if isinstance(other, SeriesT):
+            n = min(self.order, other.order)
+            return _series([a - b for a, b in zip(self.coeffs, other.coeffs)],
+                           n)
+        return self + -_as_polyx(other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, SeriesT):
+            # Over one common denominator per factor, each product
+            # coefficient is an int convolution reduced once.
             n = min(self.order, other.order)
-            out = [P_ZERO] * n
-            for i in range(n):
-                ai = self.coeffs[i]
-                if not ai:
-                    continue
-                for j in range(n - i):
-                    bj = other.coeffs[j]
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-            return SeriesT(out, n)
+            a, da = _lift(self.coeffs[:n])
+            b, db = _lift(other.coeffs[:n])
+            nonzero_a = [i for i in range(n) if a[i]]
+            out = []
+            for k in range(n):
+                acc = []
+                for i in nonzero_a:
+                    if i > k:
+                        break
+                    bj = b[k - i]
+                    if not bj:
+                        continue
+                    ai = a[i]
+                    grow = len(ai) + len(bj) - 1 - len(acc)
+                    if grow > 0:
+                        acc.extend([0] * grow)
+                    for e, x in enumerate(ai):
+                        if x:
+                            for f, y in enumerate(bj, e):
+                                acc[f] += x * y
+                out.append(_canon(acc, da * db))
+            return _series(out, n)
         if isinstance(other, _RAT_TYPES) or isinstance(other, PolyX):
             p = _as_polyx(other)
-            return SeriesT(tuple(c * p for c in self.coeffs), self.order)
+            return _series([c * p for c in self.coeffs], self.order)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -289,7 +406,7 @@ class SeriesT:
         return SeriesT((P_ZERO,) * k + self.coeffs, self.order + k)
 
     def derivative(self) -> "SeriesT":
-        out = tuple((i + 1) * rat(1) * self.coeffs[i + 1] for i in range(self.order - 1))
+        out = [self.coeffs[i] * i for i in range(1, self.order)]
         return SeriesT(out, self.order - 1)
 
     def integral(self) -> "SeriesT":
@@ -345,7 +462,7 @@ class SeriesT:
         for n in range(1, self.order):
             acc = P_ZERO
             for i in range(1, n + 1):
-                acc = acc + (i * rat(1)) * self.coeffs[i] * out[n - i]
+                acc = acc + self.coeffs[i] * i * out[n - i]
             out.append(acc * rat(1, n))
         return SeriesT(out, self.order)
 
@@ -367,6 +484,13 @@ class RingPoly:
     @classmethod
     def const(cls, c):
         return cls((_as_polyx(c),))
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The polynomial with these PolyX coefficients, stripped."""
+        p = _new(cls)
+        p.coeffs = _strip(coeffs)
+        return p
 
     @classmethod
     def gen(cls, power: int = 1):
@@ -393,7 +517,7 @@ class RingPoly:
         return hash((self.symbol, self.coeffs))
 
     def __neg__(self):
-        return type(self)(tuple(-c for c in self.coeffs))
+        return self._of(tuple([-c for c in self.coeffs]))
 
     def _coerce(self, other):
         if isinstance(other, type(self)):
@@ -411,8 +535,9 @@ class RingPoly:
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return type(self)(out)
+            if c:
+                out[i] = out[i] + c
+        return self._of(out)
 
     __radd__ = __add__
 
@@ -428,13 +553,13 @@ class RingPoly:
     def __mul__(self, other):
         if isinstance(other, (PolyX,) + _RAT_TYPES):
             p = _as_polyx(other)
-            return type(self)(tuple(c * p for c in self.coeffs))
+            return self._of([c * p if c else c for c in self.coeffs])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return type(self)()
+            return self._of(())
         out = [P_ZERO] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -442,7 +567,7 @@ class RingPoly:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] = out[i + j] + ai * bj
-        return type(self)(out)
+        return self._of(out)
 
     __rmul__ = __mul__
 

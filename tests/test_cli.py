@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from sphere_calculus import emit
+from sphere_calculus import cli, emit
 from sphere_calculus.cli import default_order, run
+from sphere_calculus.embedded import DerivationError
 from sphere_calculus.immersed import derive_immersed
 from sphere_calculus.lens import build_poset
 
@@ -115,6 +116,40 @@ def test_output_matches_stdout(argv, tmp_path, capsys):
     assert run(argv + ["--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["finite-type", "--p", "1", "--a", "0"],
+    ["verify", "--suite", "all"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_exit_2_before_work(argv, tmp_path, monkeypatch,
+                                              capsys):
+    def no_work(*args):
+        raise AssertionError("work started before --output was checked")
+
+    monkeypatch.setattr(cli, "_dispatch", no_work)
+    for bad in (tmp_path / "missing" / "doc", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--output", str(bad)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("sphere-calculus: error: cannot write --output")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_falsified_run_leaves_output_alone(tmp_path, monkeypatch):
+    def falsified(*args):
+        raise DerivationError("planted")
+
+    monkeypatch.setattr(cli, "_dispatch", falsified)
+    kept, fresh = tmp_path / "kept", tmp_path / "fresh"
+    kept.write_text("earlier\n")
+    for target in (kept, fresh):
+        assert run(["verify", "--suite", "immersed",
+                    "--output", str(target)]) == 1
+    assert kept.read_text() == "earlier\n"
+    assert not fresh.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,8 @@
 """Exact-arithmetic foundation: polynomials, series, q/alpha rings."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +14,6 @@ from sphere_calculus.rings import (
     factorial,
     qpoly_bezout_check,
     rat,
-    rat_from_str,
     rat_to_str,
 )
 
@@ -21,6 +23,12 @@ rationals = st.builds(
     st.integers(min_value=1, max_value=12),
 )
 polys = st.lists(rationals, max_size=5).map(PolyX)
+
+
+def rat_from_str(text):
+    """Parse "num/den" or a plain integer."""
+    num, _, den = text.partition("/")
+    return rat(int(num), int(den or 1))
 
 
 def test_rat_round_trip():
@@ -103,3 +111,146 @@ def test_alpha_parity():
 def test_alpha_scalar_action(c, n):
     a = AlphaPoly.gen(n)
     assert a * c == AlphaPoly([PolyX()] * n + [c])
+
+
+# ------------------------------------------- integer-numerator storage
+
+
+def assert_canonical(p):
+    """num is a tuple of ints over one positive int den, in lowest terms
+    with no trailing zero; the zero polynomial is ((), 1)."""
+    assert type(p.num) is tuple and type(p.den) is int
+    assert all(type(c) is int for c in p.num)
+    assert p.den > 0
+    if p.num:
+        assert p.num[-1] != 0
+        assert math.gcd(p.den, *p.num) == 1
+    else:
+        assert p.den == 1
+
+
+def ref(p):
+    """A Fraction-per-coefficient copy of p."""
+    return [Fraction(int(c.numerator), int(c.denominator)) for c in p.coeffs]
+
+
+def ref_strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return ref_strip(x + y for x, y in zip(a, b))
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_strip(out)
+
+
+def agrees(p, want):
+    assert_canonical(p)
+    assert ref(p) == ref_strip(want)
+
+
+wide_rationals = st.builds(
+    rat,
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=1, max_value=720),
+)
+wide_polys = st.lists(wide_rationals | st.just(rat(0)), max_size=6).map(PolyX)
+scalars = wide_rationals | st.integers(min_value=-30, max_value=30)
+
+
+@given(wide_polys, wide_polys, scalars, st.integers(0, 4))
+@settings(max_examples=150, deadline=None)
+def test_polyx_agrees_with_fraction_reference(a, b, c, k):
+    ra, rb, rc = ref(a), ref(b), Fraction(int(c.numerator),
+                                          int(c.denominator))
+    for p in (a, b):
+        agrees(p, ref(p))
+    agrees(a + b, ref_add(ra, rb))
+    agrees(a - b, ref_add(ra, [-x for x in rb]))
+    agrees(-a, [-x for x in ra])
+    agrees(a * b, ref_mul(ra, rb))
+    agrees(a * c, [x * rc for x in ra])
+    agrees(c * a, [x * rc for x in ra])
+    agrees(a + c, ref_add(ra, [rc]))
+    agrees(c - a, ref_add([rc], [-x for x in ra]))
+    want = [Fraction(1)]
+    for _ in range(k):
+        want = ref_mul(want, ra)
+    agrees(a ** k, want)
+    if c:
+        agrees(a / c, [x / rc for x in ra])
+        agrees(a / PolyX.const(c), [x / rc for x in ra])
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / c
+    for i in range(-1, len(ra) + 2):
+        got = a[i]
+        assert type(got) is type(rat(0))
+        assert got == (ra[i] if 0 <= i < len(ra) else 0)
+
+
+@given(wide_polys, wide_polys)
+@settings(max_examples=80, deadline=None)
+def test_equal_polynomials_compare_and_hash_equal(a, b):
+    for same in ((a + b) - b, b + a - b, PolyX(a.coeffs),
+                 PolyX(list(a.coeffs) + [rat(0)] * 3), a * PolyX.const(1),
+                 (a * 6) / 6):
+        assert_canonical(same)
+        assert same == a and hash(same) == hash(a)
+        assert (same.num, same.den) == (a.num, a.den)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+
+
+def test_equal_polynomials_from_different_fractions():
+    half = PolyX((rat(1, 2),))
+    assert PolyX((rat(2, 4),)) == half
+    assert hash(PolyX((rat(2, 4),))) == hash(half)
+    one = half + half
+    assert (one.num, one.den) == ((1,), 1) and one == PolyX.const(1)
+    x = PolyX.x()
+    assert (x + 1) * (x - 1) == x * x - 1
+    thirds = PolyX((rat(1, 3), rat(2, 3))) * 3
+    assert (thirds.num, thirds.den) == ((1, 2), 1)
+    zero = x * rat(1, 7) - x / 7
+    assert (zero.num, zero.den) == ((), 1) and not zero
+    assert hash(zero) == hash(PolyX())
+
+
+def test_polyx_compares_with_int_and_rational():
+    assert PolyX.const(3) == 3 and 3 == PolyX.const(3)
+    assert PolyX.const(rat(1, 2)) == rat(1, 2)
+    assert rat(1, 2) == PolyX.const(rat(1, 2))
+    assert PolyX() == 0 and PolyX() == rat(0)
+    assert PolyX.x() != 1 and PolyX.const(rat(1, 2)) != 1
+    assert PolyX.const(2) != rat(1, 2)
+
+
+series = st.lists(wide_polys, min_size=1, max_size=7).map(
+    lambda cs: SeriesT(cs, len(cs)))
+
+
+@given(series, series)
+@settings(max_examples=60, deadline=None)
+def test_series_product_agrees_with_coefficient_sums(f, g):
+    n = min(f.order, g.order)
+    want = [PolyX()] * n
+    for i in range(n):
+        for j in range(n - i):
+            want[i + j] = want[i + j] + f[i] * g[j]
+    got = f * g
+    assert got.order == n and list(got.coeffs) == want
+    for c in got.coeffs:
+        assert_canonical(c)

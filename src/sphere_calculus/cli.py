@@ -2,8 +2,11 @@
 
 Subcommands: series, embedded, immersed, finite-type, lens, verify.
 Exit status 0 on success, 1 when a checked identity is falsified, and
-2 for usage errors.  The default truncation order comes from the
-SPHERE_CALCULUS_ORDER environment variable (minimum 8, default 32).
+2 for usage errors and for inputs with no answer.  `--order N`, the
+series truncation order (minimum 8), is taken by `series` and by
+`verify --suite elliptic|all`; anywhere else it exits 2.  The default
+order comes from the SPHERE_CALCULUS_ORDER environment variable
+(minimum 8, default 32).  `lens poset` needs `--n` >= 0.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from . import emit
 from .elliptic import IdentityError, blowup_functions, verify_elliptic_identities
@@ -122,7 +126,7 @@ def _verify_elliptic(order: int, lines):
         lines.append("elliptic %s: ok through order %d" % (name, report[name]))
 
 
-def _verify_embedded(order: int, lines):
+def _verify_embedded(lines):
     verify_corollary_24()
     lines.append("embedded low-n table: ok")
     for n in range(2, 11):
@@ -132,7 +136,7 @@ def _verify_embedded(order: int, lines):
             lines.append("embedded n=%d epsilon=%d: ok" % (n, eps))
 
 
-def _verify_immersed(order: int, lines):
+def _verify_immersed(lines):
     for p in range(0, 4):
         for s in range(0, p + 1):
             for a in range(4 * p - 2, 4 * p - 7, -1):
@@ -140,7 +144,7 @@ def _verify_immersed(order: int, lines):
                 lines.append("immersed (%d, %d, %d): ok" % (p, s, a))
 
 
-def _verify_lens(order: int, lines):
+def _verify_lens(lines):
     for p in range(1, 10):
         for parity in (0, 1):
             character_variety(p, parity)
@@ -160,6 +164,9 @@ def run(argv=None) -> int:
         order = default_order()
     if order < MIN_ORDER:
         parser.error("order must be at least %d" % MIN_ORDER)
+    if (args.command == "verify" and args.order is not None
+            and args.suite not in ("all", "elliptic")):
+        parser.error("--order applies only to the elliptic suite")
     if args.output:
         _check_output(parser, args.output)
 
@@ -234,7 +241,7 @@ def _dispatch(args, order: int) -> str:
     if args.command == "verify":
         lines = []
         suites = {
-            "elliptic": _verify_elliptic,
+            "elliptic": partial(_verify_elliptic, order),
             "embedded": _verify_embedded,
             "immersed": _verify_immersed,
             "lens": _verify_lens,
@@ -242,7 +249,7 @@ def _dispatch(args, order: int) -> str:
         chosen = suites if args.suite == "all" else {
             args.suite: suites[args.suite]}
         for name in sorted(chosen):
-            chosen[name](order, lines)
+            chosen[name](lines)
         lines.append("all checks passed")
         return "\n".join(lines) + "\n"
 

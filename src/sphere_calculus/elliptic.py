@@ -56,6 +56,14 @@ class BlowupFunctions:
     Qprime: SeriesT
     order: int
 
+    def truncate(self, order: int) -> "BlowupFunctions":
+        return BlowupFunctions(
+            B=self.B.truncate(order), S=self.S.truncate(order),
+            Delta=self.Delta.truncate(order - 1), Q=self.Q.truncate(order),
+            q=self.q.truncate(order), Qprime=self.Qprime.truncate(order - 1),
+            order=order,
+        )
+
 
 def _wp_laurent_coeffs(order: int):
     """Coefficients c_k of p(z) = 1/z^2 + sum_{k>=2} c_k z^{2k-2}."""
@@ -99,31 +107,18 @@ def _require_zero(residual: SeriesT, name: str):
             raise IdentityError(name, k, coeff)
 
 
-_deepest = None
+@lru_cache(maxsize=None)
+def blowup_functions(order: int) -> BlowupFunctions:
+    """B, S, Delta, Q, q, Q' at the given truncation order, served by
+    truncation from the deepest build so far (see SeriesTable)."""
+    if order < 8:
+        raise ValueError("order must be at least 8")
+    return _blowup_table().term(0, order)
 
 
 @lru_cache(maxsize=None)
-def blowup_functions(order: int) -> BlowupFunctions:
-    """B, S, Delta, Q, q, Q' at the given truncation order.
-
-    Below the deepest order built so far they are truncations of that
-    build, which has the same exact coefficients."""
-    global _deepest
-    if order < 8:
-        raise ValueError("order must be at least 8")
-    if _deepest is not None and _deepest.order >= order:
-        return _truncated(_deepest, order)
-    _deepest = build_blowup_functions(order)
-    return _deepest
-
-
-def _truncated(bf: BlowupFunctions, order: int) -> BlowupFunctions:
-    return BlowupFunctions(
-        B=bf.B.truncate(order), S=bf.S.truncate(order),
-        Delta=bf.Delta.truncate(order - 1), Q=bf.Q.truncate(order),
-        q=bf.q.truncate(order), Qprime=bf.Qprime.truncate(order - 1),
-        order=order,
-    )
+def _blowup_table():
+    return SeriesTable(lambda order: ((build_blowup_functions(order),), None))
 
 
 def build_blowup_functions(order: int) -> BlowupFunctions:
@@ -165,13 +160,16 @@ def build_blowup_functions(order: int) -> BlowupFunctions:
 
 class SeriesTable:
     """The terms of one geometric sequence of series, first * ratio^i,
-    all kept at the deepest order asked for so far.
+    all kept at the deepest order asked for so far.  This is the only
+    place that decides whether to build at an order or truncate to it.
 
     `build(order)` returns (initial terms, ratio) at that order; every
     further term is the one before it times the ratio, appended once.
     A deeper order rebuilds the table there.  A shallower order is served
-    by truncation: the series are exact, so truncating a deeper product
-    gives the same coefficients as building at the shallower order.
+    by the term's `truncate`: the series are exact, so truncating a
+    deeper product gives the same coefficients as building at the
+    shallower order.  A table of one term (no ratio) holds any value
+    with a `truncate(order)`, such as BlowupFunctions.
     """
 
     def __init__(self, build):
@@ -180,7 +178,7 @@ class SeriesTable:
         self._terms = []
         self._ratio = None
 
-    def term(self, i: int, order: int) -> SeriesT:
+    def term(self, i: int, order: int):
         if i < 0:
             raise ValueError("term index must be nonnegative")
         if order > self._order:
@@ -208,7 +206,9 @@ def _powers_of(name: str, order: int):
     return (SeriesT.one(order), f), f
 
 
-_POWERS = {}
+@lru_cache(maxsize=None)
+def _power_table(name: str) -> SeriesTable:
+    return SeriesTable(partial(_powers_of, name))
 
 
 def series_power(name: str, k: int, order: int) -> SeriesT:
@@ -217,10 +217,7 @@ def series_power(name: str, k: int, order: int) -> SeriesT:
 
     One table per name holds f^0, f^1, ... at the deepest order asked for
     so far, each power built once from the one before it."""
-    table = _POWERS.get(name)
-    if table is None:
-        table = _POWERS[name] = SeriesTable(partial(_powers_of, name))
-    return table.term(k, order)
+    return _power_table(name).term(k, order)
 
 
 def series_monomial(order: int, **exponents) -> SeriesT:

@@ -52,29 +52,11 @@ class EmbeddedRelation:
 
 
 def basis_monomials(n: int, epsilon: int, parity: int):
-    """Case-table monomials (s_exp, b_exp, delta_exp), by leading order."""
-    out = []
-    if epsilon == 0 and parity == 0:
-        i = 0
-        while n - 2 * i >= 0:
-            out.append((2 * i, n - 2 * i, 0))
-            i += 1
-    elif epsilon == 0 and parity == 1:
-        i = 0
-        while n - 2 * i - 3 >= 0:
-            out.append((2 * i + 1, n - 2 * i - 3, 1))
-            i += 1
-    elif epsilon == 1 and parity == 0:
-        i = 0
-        while n - 2 * i - 2 >= 0:
-            out.append((2 * i, n - 2 * i - 2, 1))
-            i += 1
-    else:
-        i = 0
-        while n - 2 * i - 1 >= 0:
-            out.append((2 * i + 1, n - 2 * i - 1, 0))
-            i += 1
-    return out
+    """Case-table monomials (s_exp, b_exp, delta_exp), by leading order:
+    delta_exp = epsilon xor parity, and s_exp runs over sigma_powers."""
+    delta = (epsilon ^ parity) & 1
+    return [(s, n - s - 2 * delta, delta)
+            for s in sigma_powers(n, epsilon, parity)]
 
 
 @lru_cache(maxsize=None)
@@ -86,17 +68,10 @@ def basis_series(n: int, epsilon: int, parity: int, order: int):
 
 
 def sigma_powers(n: int, epsilon: int, parity: int):
-    """Sigma powers present on one side, honoring the omitted hat terms."""
-    if parity == 0:
-        top = n - 2 if epsilon == 1 else 2 * (n // 2)
-        if epsilon == 1 and n % 2 == 1:
-            top = n - 3
-        return list(range(0, top + 1, 2))
-    if epsilon == 1:
-        top = n - 1 if n % 2 == 0 else n
-    else:
-        top = n - 3 if n % 2 == 0 else n - 2
-    return list(range(1, top + 1, 2))
+    """Sigma powers present on one side, honoring the omitted hat terms:
+    those of the side's parity up to n, or up to n - 2 when the side
+    carries Delta (epsilon xor parity)."""
+    return list(range(parity, n - 2 * ((epsilon ^ parity) & 1) + 1, 2))
 
 
 def _solve_side(n: int, epsilon: int, parity: int, order: int):
@@ -282,14 +257,13 @@ _COR24 = {
 }
 
 
-def verify_corollary_24(order: int = None) -> dict:
+def verify_corollary_24() -> dict:
     """Re-derive n = 2, 3, 4 for both parities and compare term by term
     with the printed formulas; also re-check the double angle formulas by
     specializing the -4 sphere relation to sigma = 2e."""
     report = {}
     for (n, eps), table in _COR24.items():
-        o = order or (2 * n + 8)
-        rel = derive_embedded(n, eps, o)
+        rel = derive_embedded(n, eps)
         derived = {(p, mono): c for p, c, mono in rel.terms()}
         mismatches = []
         for key in set(table) | set(derived):
@@ -298,8 +272,8 @@ def verify_corollary_24(order: int = None) -> dict:
             if want != got:
                 mismatches.append((key, want, got))
         report["n=%d eps=%d" % (n, eps)] = mismatches
-    o = order or 16
-    rel4 = derive_embedded(4, 0, o)
+    rel4 = derive_embedded(4, 0)
+    o = rel4.order
     bf = blowup_functions(o)
     b_double = specialize_two_e(rel4, twisted=False, order=o) - bf.B.rescale(2)
     s_double = specialize_two_e(rel4, twisted=True, order=o) - bf.S.rescale(2)

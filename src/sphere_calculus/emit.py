@@ -1,9 +1,11 @@
 """Emitters: text, JSON, LaTeX, and DOT renderings of the calculus.
 
 JSON documents are schema-versioned and carry every rational as a
-string, so no consumer can lose exactness; the truncation order used
-to produce a document is always recorded in it.  Emission is
-deterministic: equal inputs yield identical bytes.
+string, so no consumer can lose exactness.  Series and embedded-relation
+documents record the truncation order they were computed at; the
+normal-form, finite-type, character-variety and charge-poset documents
+are exact and carry no order.  Emission is deterministic: equal inputs
+yield identical bytes.
 """
 
 from __future__ import annotations

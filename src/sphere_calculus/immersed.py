@@ -208,16 +208,15 @@ def _weight_terms(a: int, s: int, side: str, order: int):
     return (series_monomial(order, **exponents),), series_power("q", 1, order)
 
 
-_WEIGHTS = {}
+@lru_cache(maxsize=None)
+def _weight_table(a: int, s: int, side: str) -> SeriesTable:
+    return SeriesTable(partial(_weight_terms, a, s, side))
 
 
 def _weights(a: int, s: int, side: str, count: int, order: int):
     """The weight series B^(-a) (2-xq)^(-s) K q^i for i < count, each
     built once per (a, s, side) at the deepest order asked for so far."""
-    key = (a, s, side)
-    table = _WEIGHTS.get(key)
-    if table is None:
-        table = _WEIGHTS[key] = SeriesTable(partial(_weight_terms, *key))
+    table = _weight_table(a, s, side)
     return [table.term(i, order) for i in range(count)]
 
 
@@ -307,31 +306,17 @@ class ReductionContext:
                 return
             rel = rel * piv[d] - piv * rel[d]
 
-    def _keys(self, mmax: int):
-        """The _chain_relation arguments that loading through mmax
-        inserts, in insertion order."""
-        return [(p_src, s, a_src, chain, m)
-                for m in range(self._loaded + 1, mmax + 1)
-                for p_src, a_src, chain in self.sources
-                for s in range(p_src, -1, -1)]
-
-    def prefetch(self, mmax: int):
-        """Compute, deepest first, the relations that loading through
-        mmax will insert.  The t^m relation reads its weight table at
-        order m + 1, so each table is built once, at the deepest order
-        read, instead of once per load.  Nothing is inserted."""
-        for key in reversed(self._keys(mmax)):
-            _chain_relation(*key)
-
     def _load(self, mmax: int):
-        for key in self._keys(mmax):
-            got = _chain_relation(*key)
-            if got is None:
-                continue
-            need, rel = got
-            if need:
-                rel = rel * X2M4**need
-            self._insert(rel)
+        for m in range(self._loaded + 1, mmax + 1):
+            for p_src, a_src, chain in self.sources:
+                for s in range(p_src, -1, -1):
+                    got = _chain_relation(p_src, s, a_src, chain, m)
+                    if got is None:
+                        continue
+                    need, rel = got
+                    if need:
+                        rel = rel * X2M4**need
+                    self._insert(rel)
         self._loaded = max(self._loaded, mmax)
 
     def reduce(self, poly: AlphaPoly) -> AlphaPoly:
@@ -379,34 +364,29 @@ def _check_side(ctx, nf, out, side, terms, what, retained=False):
     """Certify one side of a step from input `nf` to output `out`.
 
     The step combines the transported input lists as sum f * lst over
-    the (q-polynomial, list) pairs in `terms`.  With `retained`, the
-    combination must equal the output's coefficients exactly up to the
-    output's top index.  Then the combination times (x^2-4)^r(nf), less
-    the output's coefficients times (x^2-4)^r(out), put into the output's
-    series B^(-a)(2-xq)^(-s) K sum_i q^i (...)_i, must have every Taylor
-    coefficient reduce to zero modulo the rewrite rules of `ctx`."""
-    combined = _combine(terms)
+    the (q-polynomial, list) pairs in `terms`.  The residual is that
+    combination times (x^2-4)^r(nf), less the output's coefficients
+    times (x^2-4)^r(out).  With `retained` (a step that preserves r),
+    the residual must vanish exactly up to the output's top index, so
+    the combination equals the output's coefficients there.  Put into
+    the output's series B^(-a)(2-xq)^(-s) K sum_i q^i (...)_i, the
+    residual must have every Taylor coefficient reduce to zero modulo
+    the rewrite rules of `ctx`."""
     target = out.c if side == "cosh" else out.d
+    scale = X2M4**nf.r
+    residual = _combine([(f * scale, lst) for f, lst in terms]
+                        + [(QPoly.const(-X2M4**out.r), target)])
     if retained:
-        for i in range(min(len(combined), len(target))):
-            if combined[i] - target[i]:
+        for i in range(len(target)):
+            if residual[i]:
                 raise DerivationError(
                     "%s %s coefficient %d mismatch" % (what, side, i))
-    order = _check_order(nf)
-    total = [AlphaPoly() for _ in range(order)]
-    for qlist, scale in ((combined, X2M4**nf.r), (target, -X2M4**out.r)):
-        qlist = tuple(qlist)
-        if not any(qlist):
-            continue
-        exp = _expansion_coefficients(out.a, out.s, side, qlist, order)
-        for j in range(order):
-            total[j] = total[j] + exp[j] * scale
-    degrees = [t.degree for t in total if t]
-    if degrees:
-        # reduce() loads relations through each residual's degree + 2.
-        ctx.prefetch(max(degrees) + 2)
-    for j in range(order):
-        res = ctx.reduce(total[j])
+    if not any(residual):
+        return
+    total = _expansion_coefficients(out.a, out.s, side, tuple(residual),
+                                    _check_order(nf))
+    for j, coeff in enumerate(total):
+        res = ctx.reduce(coeff)
         if res:
             raise DerivationError(
                 "%s (%s) falsified: t^%d residual reduces to %r"
@@ -519,29 +499,20 @@ def step_p_even(nf: NormalForm) -> NormalForm:
     return out
 
 
-_MEMO = {}
-
-
+@lru_cache(maxsize=None)
 def derive_immersed(p: int, s: int, a: int) -> NormalForm:
     """Recursion driver for the (p, s) structure equations."""
-    key = (p, s, a)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
     if not (0 <= s <= p):
         raise ValueError("need 0 <= s <= p")
     if a - 4 * p > -2:
         raise ValueError("base case outside embedded range")
     if p == 0:
-        nf = base_case(a)
-    elif s > 0:
-        nf = step_raise_s(derive_immersed(p - 1, s - 1, a - 4))
-    elif p % 2 == 1:
-        nf = step_p_odd(derive_immersed(p - 1, 0, a - 4))
-    else:
-        nf = step_p_even(derive_immersed(p - 2, 0, a - 8))
-    _MEMO[key] = nf
-    return nf
+        return base_case(a)
+    if s > 0:
+        return step_raise_s(derive_immersed(p - 1, s - 1, a - 4))
+    if p % 2 == 1:
+        return step_p_odd(derive_immersed(p - 1, 0, a - 4))
+    return step_p_even(derive_immersed(p - 2, 0, a - 8))
 
 
 def finite_type_order(p: int, a: int) -> int:

@@ -21,6 +21,7 @@ lands in (0, 2n], with an edge for every minimal-energy jump |dm| = 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .rings import rat, rat_to_str
@@ -99,22 +100,22 @@ def admissible_charges(p: int, m: int, cap):
     Charges step by one instanton from the least k in Z[1/p] that is
     at least the flat action m^2/(4p) and makes dim_end an integer.
     The m = 0 end limits to the trivial connection, so its relative
-    charge is a positive integer.  Whether k = i/p makes dim_end an
-    integer depends on i mod p only, so one period of i is searched;
-    raises ValueError when no charge qualifies (odd m with 4 | p).
+    charge is a positive integer.  k = i/p makes dim_end an integer
+    exactly when p divides 8i - 2m^2, a linear congruence in i; raises
+    ValueError when it has no solution (odd m with 4 | p).
     """
     cap = rat(cap)
     if m == 0:
         k_min = rat(1)
     else:
-        first = -(-m * m // 4)  # least i with 4 p (i/p) >= m^2
-        for i in range(first, first + p):
-            if dim_end(p, rat(i, p), m).denominator == 1:
-                k_min = rat(i, p)
-                break
-        else:
+        g = math.gcd(8, p)
+        if 2 * m * m % g:
             raise ValueError(
                 "no charge makes dim_end integral for p=%d, m=%d" % (p, m))
+        period = p // g
+        root = 2 * m * m // g * pow(8 // g, -1, period) % period
+        first = -(-m * m // 4)  # least i with 4 p (i/p) >= m^2
+        k_min = rat(first + (root - first) % period, p)
     out = []
     k = k_min
     while k <= cap:
@@ -134,11 +135,14 @@ class PosetJ:
 
 def build_poset(p: int, parity: int, n: int) -> PosetJ:
     """Charges with end dimension in (0, 2n], with minimal-energy edges."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     chi = character_variety(p, parity)
     vertices = []
     for cls in chi:
-        # dim_end grows by 8 per unit charge, so 2n bounds the search.
-        cap = rat(2 * n + 3 + 2 * cls.m * cls.m, 8)
+        # dim_end + s <= 2n gives 8k <= 2n + 3 - 2m + 2m^2/p - s, and
+        # 2m >= 0, s >= 1, so this cap keeps every such charge.
+        cap = rat(2 * n + 3, 8) + rat(cls.m * cls.m, 4 * p)
         for k in admissible_charges(p, cls.m, cap):
             dim = dim_end(p, k, cls.m) + cls.s
             if 0 < dim <= 2 * n:

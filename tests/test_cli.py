@@ -162,10 +162,26 @@ def test_falsified_run_leaves_output_alone(tmp_path, monkeypatch):
      "--order", "40"],
     ["--order", "40", "series", "--fn", "Q"],
     ["--output", "doc", "series", "--fn", "Q"],
+    ["verify", "--suite", "embedded", "--order", "12"],
+    ["verify", "--suite", "immersed", "--order", "12"],
+    ["verify", "--suite", "lens", "--order", "12"],
 ], ids=" ".join)
 def test_misplaced_option_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["elliptic", "all"])
+def test_verify_order_reaches_elliptic_suite(capsys, suite):
+    code, out = capture(capsys, ["verify", "--suite", suite, "--order", "12"])
+    assert code == 0
+    assert "elliptic Q-times-B: ok through order 12\n" in out
+
+
+def test_lens_poset_negative_n_exit_2():
+    with pytest.raises(SystemExit) as exc:
+        run(["lens", "poset", "--p", "6", "--parity", "even", "--n", "-1"])
     assert exc.value.code == 2
 
 

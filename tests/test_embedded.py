@@ -8,6 +8,7 @@ from sphere_calculus.embedded import (
     DerivationError,
     basis_monomials,
     derive_embedded,
+    sigma_powers,
     specialize_two_e,
     verify_corollary_24,
     verify_embedded_relation,
@@ -79,10 +80,28 @@ def test_order_stability(n, epsilon):
     assert key(low) == key(high)
 
 
+# The case table of basis monomials: (epsilon, parity) -> the i-th
+# monomial (s_exp, b_exp, delta_exp), for every i with b_exp >= 0.
+CASE_TABLE = {
+    (0, 0): lambda n, i: (2 * i, n - 2 * i, 0),
+    (0, 1): lambda n, i: (2 * i + 1, n - 2 * i - 3, 1),
+    (1, 0): lambda n, i: (2 * i, n - 2 * i - 2, 1),
+    (1, 1): lambda n, i: (2 * i + 1, n - 2 * i - 1, 0),
+}
+
+
 def test_basis_monomials_shape():
-    for s_exp, b_exp, d_exp in basis_monomials(4, 1, 0):
-        assert s_exp + b_exp + 2 * d_exp == 4
-        assert d_exp in (0, 1)
+    for (epsilon, parity), monomial in CASE_TABLE.items():
+        for n in range(31):
+            want = []
+            while monomial(n, len(want))[1] >= 0:
+                want.append(monomial(n, len(want)))
+            got = basis_monomials(n, epsilon, parity)
+            assert got == want
+            assert sigma_powers(n, epsilon, parity) == [s for s, _, _ in got]
+            for s_exp, b_exp, d_exp in got:
+                assert s_exp + b_exp + 2 * d_exp == n
+                assert d_exp in (0, 1)
 
 
 def test_double_angle_specialization():

@@ -159,6 +159,40 @@ def test_poset_search_bounded(p, parity, n, monkeypatch):
     assert got == build_poset(p, parity, n)
 
 
+def _window_vertices(p, parity, n):
+    """The (m, k) with 0 < dim_end + s <= 2n, read off the dimension
+    inequality with no cap on k: k starts at the least admissible charge
+    (1 for m = 0, else the least i/p >= m^2/(4p) with integral dim_end)
+    and steps by one instanton.  None when some class has no integral
+    charge."""
+    out = []
+    for m in range(parity, p + 1, 2):
+        s = 3 if m in (0, p) else 1
+        i = p if m == 0 else -(-m * m // 4)
+        for i in range(i, i + p):
+            if dim_end(p, rat(i, p), m).denominator == 1:
+                break
+        else:
+            return None
+        k = rat(i, p)
+        while dim_end(p, k, m) + s <= 2 * n:
+            if dim_end(p, k, m) + s > 0:
+                out.append((m, k))
+            k += 1
+    return sorted(out)
+
+
+@pytest.mark.parametrize("p", [400, 401])
+@pytest.mark.parametrize("parity", [0, 1])
+def test_poset_large_p_matches_dimension_window(p, parity):
+    want = _window_vertices(p, parity, 10)
+    if want is None:
+        with pytest.raises(ValueError):
+            build_poset(p, parity, 10)
+        return
+    assert list(build_poset(p, parity, 10).vertices) == want
+
+
 # --------------------------------------------------------------- posets
 
 

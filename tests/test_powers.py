@@ -1,7 +1,6 @@
 """The memoised series powers against plain powers of fresh builds."""
 
 from functools import lru_cache
-from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -39,10 +38,10 @@ requests = st.lists(
 def test_series_power_matches_plain_power(name, reqs):
     # Fresh tables, so that the drawn orders fall both below and above
     # the order a table was built at.
-    with mock.patch.dict(elliptic._POWERS, clear=True):
-        for k, order in reqs:
-            want = fresh(order)[name] ** k
-            assert_same(series_power(name, k, want.order), want)
+    elliptic._power_table.cache_clear()
+    for k, order in reqs:
+        want = fresh(order)[name] ** k
+        assert_same(series_power(name, k, want.order), want)
 
 
 def from_scratch_weight(a, s, side, i, order):
@@ -59,15 +58,17 @@ def from_scratch_weight(a, s, side, i, order):
 @example(-3, 2, "cosh", [(3, 16), (5, 10), (2, 24)])
 @settings(max_examples=20, deadline=None)
 def test_weight_series_match_from_scratch(a, s, side, reqs):
-    with mock.patch.dict(immersed._WEIGHTS, clear=True):
-        for count, order in reqs:
-            weights = immersed._weights(a, s, side, count, order)
-            assert len(weights) == count
-            for i, w in enumerate(weights):
-                assert_same(w, from_scratch_weight(a, s, side, i, order))
+    immersed._weight_table.cache_clear()
+    for count, order in reqs:
+        weights = immersed._weights(a, s, side, count, order)
+        assert len(weights) == count
+        for i, w in enumerate(weights):
+            assert_same(w, from_scratch_weight(a, s, side, i, order))
 
 
 def test_truncated_blowup_functions_match_fresh_builds():
+    elliptic.blowup_functions.cache_clear()
+    elliptic._blowup_table.cache_clear()
     elliptic.blowup_functions(40)
     for order in range(8, 41):
         got = elliptic.blowup_functions(order)

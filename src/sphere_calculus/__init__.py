@@ -3,14 +3,14 @@
 Modules:
     rings     -- rationals, polynomials in x, truncated t-series,
                  polynomials in q and in the sphere class alpha
-    elliptic  -- the blowup power series B, S, Delta, Q, q from
-                 Weierstrass data, with machine-checked identities
+    elliptic  -- the blowup series B, S, Delta, Q, q from Weierstrass data,
+                 their checked identities and their q-basis products
     model     -- blowup-model moments and twist-count series
     embedded  -- structure equations of embedded spheres
     immersed  -- the inductive machine for immersed-sphere structure
                  equations in q-normal form, plus finite-type orders
     lens      -- flat character classes of L(p,1) and charge posets
-    emit      -- text / JSON / LaTeX / DOT emitters
+    emit      -- text / JSON / LaTeX / DOT / ASCII emitters
     cli       -- command-line front end
 """
 
@@ -25,7 +25,6 @@ from .lens import (
     dim_cylinder,
     dim_end,
     minimal_energy,
-    render_poset,
 )
 from .rings import PolyX, QPoly, AlphaPoly, SeriesT, rat
 
@@ -49,7 +48,6 @@ __all__ = [
     "finite_type_order",
     "minimal_energy",
     "rat",
-    "render_poset",
     "shift_reduce",
     "verify_elliptic_identities",
     "verify_embedded_relation",

@@ -1,9 +1,10 @@
 """Blowup power series from Weierstrass data.
 
 Builds the series B, S, Delta, Q, q used by the blowup calculus,
-machine-checks the identities they satisfy, and owns the memoised
-powers of these series that the rest of the calculus multiplies.  The
-curve data is
+machine-checks the identities they satisfy, and owns the products of
+them the rest of the calculus multiplies: the q-basis weight_series
+B^(-a) (2-xq)^(-s) Q^i Q'^j q^k and its triangular solver.  The curve
+data is
 
     g2 = 4(x^2/3 - 1),      g3 = (8x^3 - 36x)/27,
 
@@ -18,7 +19,8 @@ with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import mul
 
 from .rings import (
     P_ONE,
@@ -220,14 +222,44 @@ def series_power(name: str, k: int, order: int) -> SeriesT:
     return _power_table(name).term(k, order)
 
 
-def series_monomial(order: int, **exponents) -> SeriesT:
-    """The product of series_power(name, k, order) over name=k."""
-    out = None
-    for name, k in exponents.items():
-        if k:
-            f = series_power(name, k, order)
-            out = f if out is None else out * f
-    return SeriesT.one(order) if out is None else out
+@lru_cache(maxsize=None)
+def _weight_table(a: int, s: int, kernel) -> SeriesTable:
+    """The table with first term B^(-a) (2-xq)^(-s) Q^i Q'^j, multiplied
+    out from its first nonzero factor, and ratio q."""
+    exponents = (("B" if a <= 0 else "Binv", abs(a)), ("inv_2mxq", s),
+                 ("Q", kernel[0]), ("Qprime", kernel[1]))
+
+    def build(order):
+        factors = [series_power(name, k, order) for name, k in exponents if k]
+        first = reduce(mul, factors) if factors else SeriesT.one(order)
+        return (first,), series_power("q", 1, order)
+    return SeriesTable(build)
+
+
+def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
+    """B^(-a) (2-xq)^(-s) Q^i Q'^j q^k at the given order, kernel (i, j)
+    in {0, 1}^2.  By S = QB and Delta = Q'B^2 this holds the model series,
+    the embedded basis (both at a = -n, s = 0) and the immersed weights.
+    One table per (a, s, kernel) builds each q^k term once."""
+    return _weight_table(a, s, kernel).term(k, order)
+
+
+def triangular_solve(target, weights, parity: int):
+    """The c_j with sum_i c_i weights[i] equal to target at t^(2j+parity)
+    for j < len(weights); target[k] is the t^k coefficient.  weights[i]
+    has no t^(2j+parity) term for j < i, and each diagonal entry must be
+    a unit (nonzero constant), else ValueError."""
+    out = []
+    for j, w in enumerate(weights):
+        tp = 2 * j + parity
+        acc = target[tp]
+        for i in range(j):
+            acc = acc - out[i] * weights[i][tp]
+        diag = w[tp]
+        if not diag.is_unit():
+            raise ValueError("diagonal %r at t^%d is not a unit" % (diag, tp))
+        out.append(acc * (rat(1) / diag.constant()))
+    return out
 
 
 def _check_normalization(bf: BlowupFunctions):

@@ -4,8 +4,9 @@ For a sphere of self-intersection -n the model sets sigma = e_1+...+e_n
 and solves the triangular moment systems produced by admissible twists
 (and, for the odd/even side opposite to the twist parity, by the
 (e_i - e_j) insertion).  The solved coefficient series are then fitted
-to the S/B/Delta monomial basis, giving relations in the style of the
-explicit low-n formulas.
+to the q-basis B^n Q^parity Q'^delta q^i of elliptic.weight_series, still
+rendered as the S/B/Delta monomials it equals (S = QB, Delta = Q'B^2),
+giving relations in the style of the explicit low-n formulas.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .elliptic import blowup_functions, series_monomial
+from .elliptic import blowup_functions, triangular_solve, weight_series
 from .model import (
     moments,
     sigma_power_insertion_value,
@@ -61,8 +62,10 @@ def basis_monomials(n: int, epsilon: int, parity: int):
 
 @lru_cache(maxsize=None)
 def basis_series(n: int, epsilon: int, parity: int, order: int):
+    """(monomial, series) pairs of one side's basis: S^s B^b Delta^d is
+    the q-basis term B^n Q^parity Q'^d q^(s//2)."""
     return tuple(
-        (mono, series_monomial(order, S=mono[0], B=mono[1], Delta=mono[2]))
+        (mono, weight_series(-n, 0, (parity, mono[2]), mono[0] // 2, order))
         for mono in basis_monomials(n, epsilon, parity)
     )
 
@@ -108,28 +111,19 @@ def _solve_side(n: int, epsilon: int, parity: int, order: int):
     return solved
 
 
-def fit_to_basis(f: SeriesT, basis):
-    """Express f in a triangular basis of series; exact, no remainder.
-
-    basis is a sequence of SeriesT with strictly increasing leading
-    orders and unit leading coefficients.  Returns one PolyX per basis
-    element; raises FitError when f is outside the span.
-    """
+def fit_to_basis(f: SeriesT, basis, parity: int):
+    """Express f in a q-basis whose j-th series has its unit diagonal
+    entry at t^(2j + parity) (see triangular_solve); exact.  Returns one
+    PolyX per basis element; raises FitError when f is outside the span."""
+    coeffs = triangular_solve(f, basis, parity)
     remainder = f
-    coeffs = []
-    for g in basis:
-        v = g.valuation()
-        if v < 0 or g[v] != P_ONE:
-            raise FitError("basis element lacks a unit leading coefficient")
-        c = remainder[v] if v < remainder.order else P_ZERO
-        coeffs.append(c)
+    for g, c in zip(basis, coeffs):
         if c:
             remainder = remainder - g * c
-    for k, c in enumerate(remainder.coeffs):
-        if c:
-            raise FitError(
-                "outside basis span: residual %r at t^%d" % (c, k)
-            )
+    k = remainder.valuation()
+    if k >= 0:
+        raise FitError("outside basis span: residual %r at t^%d"
+                       % (remainder[k], k))
     return coeffs
 
 
@@ -146,7 +140,7 @@ def derive_embedded(n: int, epsilon: int, order: int = None) -> EmbeddedRelation
         solved = _solve_side(n, epsilon, parity, order)
         basis = basis_series(n, epsilon, parity, order)
         for p in sorted(solved):
-            coeffs = fit_to_basis(solved[p], [f for _, f in basis])
+            coeffs = fit_to_basis(solved[p], [f for _, f in basis], parity)
             for (mono, _), c in zip(basis, coeffs):
                 if c:
                     terms[parity].append((p, c, mono))
@@ -162,11 +156,9 @@ def derive_embedded(n: int, epsilon: int, order: int = None) -> EmbeddedRelation
 def relation_coefficient_series(rel: EmbeddedRelation, order: int):
     """The C_p(t, x) series of the relation, reconstructed from the fit."""
     out = {}
-    for parity in (0, 1):
-        basis = dict(basis_series(rel.n, rel.epsilon, parity, order))
-        source = rel.cosh_terms if parity == 0 else rel.sinh_terms
-        for p, c, mono in source:
-            out[p] = out.get(p, SeriesT.zero(order)) + basis[mono] * c
+    for p, c, (s, _, d) in rel.terms():
+        w = weight_series(-rel.n, 0, (p % 2, d), s // 2, order)
+        out[p] = out.get(p, SeriesT.zero(order)) + w * c
     return out
 
 

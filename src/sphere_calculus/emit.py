@@ -1,4 +1,4 @@
-"""Emitters: text, JSON, LaTeX, and DOT renderings of the calculus.
+"""Emitters: text, JSON, LaTeX, DOT and ASCII renderings of the calculus.
 
 JSON documents are schema-versioned and carry every rational as a
 string, so no consumer can lose exactness.  Series and embedded-relation
@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 from .embedded import EmbeddedRelation
 from .immersed import NormalForm
-from .lens import PosetJ, is_central, render_poset
+from .lens import PosetJ, is_central
 from .rings import P_ONE, AlphaPoly, PolyX, SeriesT, rat_to_str
 
 SCHEMA = "sphere-calculus/1"
@@ -280,7 +280,50 @@ def poset_json(j: PosetJ) -> str:
     })
 
 
+def _vertex_name(m, k):
+    return "m%d_k%d_%d" % (m, k.numerator, k.denominator)
+
+
+def poset_dot(j: PosetJ) -> str:
+    lines = ["digraph J%d {" % j.n, "  rankdir=LR;"]
+    for m, k in j.vertices:
+        shape = "doublecircle" if is_central(j.p, m) else "circle"
+        lines.append(
+            '  %s [label="m=%d k=%s", shape=%s];'
+            % (_vertex_name(m, k), m, rat_to_str(k), shape)
+        )
+    for (m1, k1), (m2, k2), energy in j.edges:
+        lines.append(
+            '  %s -> %s [label="%s"];'
+            % (_vertex_name(m1, k1), _vertex_name(m2, k2),
+               rat_to_str(energy))
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def poset_ascii(j: PosetJ) -> str:
+    lines = ["J_%d  p=%d  parity=%s" % (j.n, j.p,
+                                        "odd" if j.parity else "even")]
+    by_m = {}
+    for m, k in j.vertices:
+        by_m.setdefault(m, []).append(k)
+    for m in sorted(by_m, reverse=True):
+        mark = "*" if is_central(j.p, m) else " "
+        ks = ", ".join(rat_to_str(k) for k in sorted(by_m[m]))
+        lines.append("m=%d%s | %s" % (m, mark, ks))
+    lines.append("edges:")
+    for (m1, k1), (m2, k2), energy in j.edges:
+        lines.append(
+            "  (%d, %s) -> (%d, %s)  energy %s"
+            % (m1, rat_to_str(k1), m2, rat_to_str(k2),
+               rat_to_str(energy))
+        )
+    return "\n".join(lines) + "\n"
+
+
 def poset_emit(j: PosetJ, format: str) -> str:
-    if format == "json":
-        return poset_json(j)
-    return render_poset(j, format)
+    render = {"dot": poset_dot, "ascii": poset_ascii, "json": poset_json}
+    if format not in render:
+        raise ValueError("unknown poset format %r" % format)
+    return render[format](j)

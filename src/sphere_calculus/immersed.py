@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .elliptic import SeriesTable, series_monomial, series_power
+from .elliptic import triangular_solve, weight_series
 from .embedded import DerivationError, derive_embedded
 from .model import moments
 from .rings import (
@@ -50,6 +50,9 @@ X2M4 = X * X - 4
 
 # The shallowest t-order a step checks its residual through.
 CHECK_ORDER_MIN = 12
+
+# The q-basis kernel (i, j) of Q^i Q'^j on each side of a normal form.
+KERNEL = {"cosh": (0, 1), "sinh": (1, 0)}
 
 # The two resultant combinations used by the double-point steps; both
 # reduce to the constant x^2 - 4.
@@ -175,16 +178,13 @@ def universal_coefficients(a: int, s: int, side: str):
         return ()
     # Build at least as deep as every step check reads (_check_order),
     # so that the check seldom has to rebuild the weight table.
-    weights = _weights(a, s, side, top + 1,
-                       max(CHECK_ORDER_MIN, 2 * top + par + 2))
-    out = []
-    for j in range(top + 1):
-        tp = 2 * j + par
-        acc = AlphaPoly.gen(tp) * (rat(1) / factorial(tp))
-        for i in range(j):
-            acc = acc - out[i] * weights[i][tp]
-        out.append(acc * (rat(1) / weights[j][tp].constant()))
-    return tuple(out)
+    order = max(CHECK_ORDER_MIN, 2 * top + par + 2)
+    weights = [weight_series(a, s, KERNEL[side], i, order)
+               for i in range(top + 1)]
+    # cosh(t alpha) or sinh(t alpha), at the t-powers of its parity.
+    target = {k: AlphaPoly.gen(k) * (rat(1) / factorial(k))
+              for k in range(par, 2 * top + par + 1, 2)}
+    return tuple(triangular_solve(target, weights, par))
 
 
 @lru_cache(maxsize=None)
@@ -200,36 +200,15 @@ def _make_target(p: int, s: int, a: int) -> NormalForm:
     )
 
 
-def _weight_terms(a: int, s: int, side: str, order: int):
-    """First term B^(-a) (2-xq)^(-s) K and ratio q of the weight series,
-    with K = Q' on the cosh side and K = Q on the sinh side."""
-    exponents = {"B" if a <= 0 else "Binv": abs(a), "inv_2mxq": s,
-                 "Qprime" if side == "cosh" else "Q": 1}
-    return (series_monomial(order, **exponents),), series_power("q", 1, order)
-
-
-@lru_cache(maxsize=None)
-def _weight_table(a: int, s: int, side: str) -> SeriesTable:
-    return SeriesTable(partial(_weight_terms, a, s, side))
-
-
-def _weights(a: int, s: int, side: str, count: int, order: int):
-    """The weight series B^(-a) (2-xq)^(-s) K q^i for i < count, each
-    built once per (a, s, side) at the deepest order asked for so far."""
-    table = _weight_table(a, s, side)
-    return [table.term(i, order) for i in range(count)]
-
-
 def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
     """The t^tpow Taylor coefficient, times tpow!, of the q-normal-form
     series B^(-a) (2-xq)^(-s) sum_i q^i K c_i(alpha) with K = Q' on the
     cosh side and K = Q on the sinh side.  Alpha stays symbolic."""
-    coeffs = nf.c if side == "cosh" else nf.d
     out = AlphaPoly()
-    for ci, weight in zip(coeffs, _weights(nf.a, nf.s, side, len(coeffs),
-                                           tpow + 1)):
-        if ci and weight[tpow]:
-            out = out + ci * weight[tpow]
+    for i, ci in enumerate(nf.c if side == "cosh" else nf.d):
+        w = weight_series(nf.a, nf.s, KERNEL[side], i, tpow + 1)[tpow]
+        if ci and w:
+            out = out + ci * w
     return out * factorial(tpow)
 
 
@@ -238,8 +217,9 @@ def _expansion_coefficients(a, s, side, coeffs, order):
     """Plain Taylor coefficients (per power of t, alpha symbolic) of
     B^(-a)(2-xq)^(-s) K sum_i q^i coeffs[i]."""
     out = [AlphaPoly() for _ in range(order)]
-    for ci, weight in zip(coeffs, _weights(a, s, side, len(coeffs), order)):
+    for i, ci in enumerate(coeffs):
         if ci:
+            weight = weight_series(a, s, KERNEL[side], i, order)
             for j in range(order):
                 wj = weight[j]
                 if wj:
@@ -334,8 +314,8 @@ class ReductionContext:
 
 
 def base_case(a: int) -> NormalForm:
-    """The embedded structure equation, rewritten through S = QB and
-    Delta = Q'B^2 as a q-normal form with p = s = 0."""
+    """The embedded structure equation as a q-normal form, p = s = 0:
+    S^s B^b Delta^d is the q-basis term B^n K q^(s//2) of its side."""
     if a > -2:
         raise ValueError("no embedded base case")
     n = -a
@@ -343,14 +323,9 @@ def base_case(a: int) -> NormalForm:
     k, k0 = k_index(a, 0), k0_index(a, 0)
     c = [AlphaPoly() for _ in range(k + 1)]
     d = [AlphaPoly() for _ in range(k0 + 1)]
-    for p, coeff, (s_exp, b_exp, d_exp) in rel.cosh_terms:
-        # S^(2i) Delta B^(n-2i-2) = q^i Q' B^n
-        i = s_exp // 2
-        c[i] = c[i] + AlphaPoly.gen(p) * coeff
-    for p, coeff, (s_exp, b_exp, d_exp) in rel.sinh_terms:
-        # S^(2i+1) B^(n-2i-1) = q^i Q B^n
-        i = s_exp // 2
-        d[i] = d[i] + AlphaPoly.gen(p) * coeff
+    for p, coeff, (s_exp, _, _) in rel.terms():
+        lst = d if p % 2 else c
+        lst[s_exp // 2] = lst[s_exp // 2] + AlphaPoly.gen(p) * coeff
     return NormalForm(
         p=0, s=0, a=a, r=0, k=k, k0=k0, c=tuple(c), d=tuple(d)
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .rings import rat, rat_to_str
+from .rings import rat
 
 
 class PosetError(AssertionError):
@@ -196,47 +196,3 @@ def verify_poset(j: PosetJ):
                     seen[w] = total
                     stack.append(w)
     return True
-
-
-def _vertex_name(m, k):
-    k = rat(k)
-    return "m%d_k%d_%d" % (m, k.numerator, k.denominator)
-
-
-def render_poset(j: PosetJ, format: str = "dot") -> str:
-    """Deterministic DOT or ASCII rendering, rows by m, columns by k."""
-    if format == "dot":
-        lines = ["digraph J%d {" % j.n, "  rankdir=LR;"]
-        for m, k in j.vertices:
-            shape = "doublecircle" if is_central(j.p, m) else "circle"
-            lines.append(
-                '  %s [label="m=%d k=%s", shape=%s];'
-                % (_vertex_name(m, k), m, rat_to_str(k), shape)
-            )
-        for (m1, k1), (m2, k2), energy in j.edges:
-            lines.append(
-                '  %s -> %s [label="%s"];'
-                % (_vertex_name(m1, k1), _vertex_name(m2, k2),
-                   rat_to_str(energy))
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if format == "ascii":
-        lines = ["J_%d  p=%d  parity=%s" % (j.n, j.p,
-                                            "odd" if j.parity else "even")]
-        by_m = {}
-        for m, k in j.vertices:
-            by_m.setdefault(m, []).append(k)
-        for m in sorted(by_m, reverse=True):
-            mark = "*" if is_central(j.p, m) else " "
-            ks = ", ".join(rat_to_str(k) for k in sorted(by_m[m]))
-            lines.append("m=%d%s | %s" % (m, mark, ks))
-        lines.append("edges:")
-        for (m1, k1), (m2, k2), energy in j.edges:
-            lines.append(
-                "  (%d, %s) -> (%d, %s)  energy %s"
-                % (m1, rat_to_str(k1), m2, rat_to_str(k2),
-                   rat_to_str(energy))
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError("unknown poset format %r" % format)

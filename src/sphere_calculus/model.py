@@ -4,15 +4,16 @@ On an n-fold blowup with sigma = e_1 + ... + e_n and m of the classes
 twisted, the model evaluates exp(t sigma) to S^m B^(n-m): each class
 contributes B (untwisted) or S (twisted).  The (e_i - e_j) insertion,
 with e_j the twisted class, evaluates to -Delta S^(m-1) B^(n-m-1).
-Powers of sigma read off the Taylor coefficients of these series, and
-the moments of B and S are the single-class values of e^j.
+Both are q-basis terms of elliptic.weight_series, as S = QB and Delta =
+Q'B^2.  Powers of sigma read off the Taylor coefficients of these
+series, and the moments of B and S are the single-class values of e^j.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .elliptic import blowup_functions, series_monomial
+from .elliptic import blowup_functions, weight_series
 from .rings import PolyX, SeriesT, factorial
 
 
@@ -27,15 +28,15 @@ def moments(kind: str, j: int) -> PolyX:
 
 @lru_cache(maxsize=None)
 def smb_series(n: int, twist_count: int, order: int) -> SeriesT:
-    """S^m B^(n-m) at the given order, m = twist_count."""
-    return series_monomial(order, S=twist_count, B=n - twist_count)
+    """S^m B^(n-m) = B^n Q^m at the given order, m = twist_count."""
+    return weight_series(-n, 0, (twist_count % 2, 0), twist_count // 2, order)
 
 
 @lru_cache(maxsize=None)
 def smb_insertion_series(n: int, twist_count: int, order: int) -> SeriesT:
-    """-Delta S^(m-1) B^(n-m-1) at the given order, m = twist_count."""
-    return -series_monomial(
-        order, Delta=1, S=twist_count - 1, B=n - twist_count - 1)
+    """-Delta S^(m-1) B^(n-m-1) = -B^n Q' Q^(m-1), m = twist_count."""
+    m = twist_count - 1
+    return -weight_series(-n, 0, (m % 2, 1), m // 2, order)
 
 
 def sigma_power_value(n: int, twist_count: int, p: int, order: int) -> PolyX:

@@ -241,16 +241,17 @@ class PolyX:
 
 
 def _power(base, n: int, one):
-    """base**n by square-and-multiply, for n >= 0."""
+    """base**n for n >= 0, squaring from the lowest set bit of n up."""
     if n < 0:
         raise ValueError("negative exponent %d" % n)
-    out = one
+    out = None
     while n:
         if n & 1:
-            out = out * base
-        base = base * base
+            out = base if out is None else out * base
         n >>= 1
-    return out
+        if n:
+            base = base * base
+    return one if out is None else out
 
 
 def _as_polyx(v):

@@ -1,11 +1,13 @@
 """Every memo of the engine is an lru_cache, and clearing the caches
-changes no result, whatever order the results are asked for in."""
+changes no result, whatever order the results are asked for in.  From
+cleared caches, the engine builds no power of S or Delta: the q-basis
+tables multiply B, 1/B, 1/(2-xq), Q, Q' and q only."""
 
 import sys
 from functools import _lru_cache_wrapper
 
-import sphere_calculus.cli  # noqa: F401  (imports every engine module)
-from sphere_calculus import elliptic, embedded, immersed
+# cli imports every engine module.
+from sphere_calculus import cli, elliptic, embedded, immersed
 
 ORDERS = range(8, 25)
 EMBEDDED = [(n, eps) for n in range(1, 7) for eps in (0, 1)]
@@ -45,7 +47,7 @@ def test_engine_caches_are_found():
     assert {
         ("sphere_calculus.elliptic", "blowup_functions"),
         ("sphere_calculus.elliptic", "_power_table"),
-        ("sphere_calculus.immersed", "_weight_table"),
+        ("sphere_calculus.elliptic", "_weight_table"),
         ("sphere_calculus.immersed", "derive_immersed"),
         ("sphere_calculus.immersed", "_expansion_coefficients"),
         ("sphere_calculus.embedded", "derive_embedded"),
@@ -60,3 +62,19 @@ def test_clearing_caches_changes_no_result():
     descending = derive(ORDERS[::-1], EMBEDDED[::-1], CELLS[::-1])
     for first, second in zip(ascending, descending):
         assert first == second
+
+
+def test_no_power_of_s_or_delta_is_built(monkeypatch):
+    asked = []
+    series_power = elliptic.series_power
+
+    def spy(name, k, order):
+        asked.append(name)
+        return series_power(name, k, order)
+
+    monkeypatch.setattr(elliptic, "series_power", spy)
+    clear_all()
+    assert cli.run(["verify", "--suite", "all"]) == 0
+    for cell in CELLS:
+        immersed.derive_immersed(*cell)
+    assert asked and not {"S", "Delta"} & set(asked)

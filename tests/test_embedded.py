@@ -6,14 +6,17 @@ import pytest
 
 from sphere_calculus.embedded import (
     DerivationError,
+    FitError,
     basis_monomials,
+    basis_series,
     derive_embedded,
+    fit_to_basis,
     sigma_powers,
     specialize_two_e,
     verify_corollary_24,
     verify_embedded_relation,
 )
-from sphere_calculus.rings import PolyX, rat
+from sphere_calculus.rings import PolyX, SeriesT, rat
 
 
 def test_printed_low_n_table():
@@ -115,3 +118,33 @@ def test_relation_shape():
     rel = derive_embedded(5, 0)
     assert all(p % 2 == 0 for p, _, _ in rel.cosh_terms)
     assert all(p % 2 == 1 for p, _, _ in rel.sinh_terms)
+
+
+# The -4 sphere's even side: B^4, S^2 B^2, S^4 = B^4 (1, q, q^2).
+FIT_ORDER = 16
+
+
+def even_basis():
+    return [f for _, f in basis_series(4, 0, 0, FIT_ORDER)]
+
+
+def test_fit_reads_q_coordinates():
+    basis = even_basis()
+    f = basis[0] * PolyX.x() + basis[2] * rat(3)
+    assert fit_to_basis(f, basis, 0) == [PolyX.x(), 0, PolyX.const(3)]
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_fit_outside_span_names_t_power(k):
+    # t^5 has the other parity; t^6 lies above the top basis element.
+    basis = even_basis()
+    f = basis[1] + SeriesT.one(FIT_ORDER).shift(k).truncate(FIT_ORDER)
+    with pytest.raises(FitError, match=r"at t\^%d$" % k):
+        fit_to_basis(f, basis, 0)
+
+
+def test_fit_non_unit_diagonal_raises_in_solver():
+    basis = even_basis()
+    basis[1] = basis[1] * PolyX.x()
+    with pytest.raises(ValueError, match=r"t\^2 is not a unit"):
+        fit_to_basis(basis[1], basis, 0)

@@ -3,6 +3,7 @@
 import pytest
 
 from sphere_calculus import lens
+from sphere_calculus.emit import poset_ascii, poset_dot, poset_emit
 from sphere_calculus.lens import (
     PosetError,
     admissible_charges,
@@ -12,7 +13,6 @@ from sphere_calculus.lens import (
     dim_end,
     is_central,
     minimal_energy,
-    render_poset,
     verify_poset,
 )
 from sphere_calculus.rings import rat
@@ -244,7 +244,7 @@ def test_poset_tamper_detection():
 
 def test_render_dot_counts():
     j = build_poset(6, 0, 10)
-    dot = render_poset(j, "dot")
+    dot = poset_dot(j)
     assert dot.count("->") == 11
     assert dot.count("shape=") == 9
     assert dot.startswith("digraph")
@@ -252,11 +252,11 @@ def test_render_dot_counts():
 
 def test_render_ascii_stable():
     j = build_poset(6, 1, 10)
-    first = render_poset(j, "ascii")
-    assert first == render_poset(j, "ascii")
+    first = poset_ascii(j)
+    assert first == poset_ascii(j)
     assert "m=5" in first and "energy" in first
 
 
 def test_render_unknown_format():
     with pytest.raises(ValueError):
-        render_poset(build_poset(6, 0, 10), "svg")
+        poset_emit(build_poset(6, 0, 10), "svg")

@@ -1,0 +1,73 @@
+"""No dead helpers: every module-level function and class of the engine
+is referenced somewhere in src/ outside its own definition.  The one
+exception is the emitters that `cli` picks by name, through
+getattr(emit, kind + "_" + format)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sphere_calculus"
+
+
+def _uses(tree):
+    """(enclosing top-level definition or None, name) for every name the
+    module reads, imports or reaches as an attribute."""
+    for top in tree.body:
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                 else None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute):
+                yield owner, node.attr
+            elif isinstance(node, ast.alias):
+                yield owner, node.name.split(".")[-1]
+
+
+def _getattr_prefixes(tree):
+    """The constant prefixes of getattr(emit, "prefix" + ...) calls."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) == 2
+                and isinstance(node.args[0], ast.Name)
+                and node.args[0].id == "emit"
+                and isinstance(node.args[1], ast.BinOp)
+                and isinstance(node.args[1].left, ast.Constant)):
+            yield node.args[1].left.value
+
+
+def unreferenced(sources):
+    """Module-level functions and classes of `sources` ({module: text})
+    that nothing else references, as "module.name"."""
+    trees = {mod: ast.parse(text) for mod, text in sources.items()}
+    users = {}  # name -> {(module, enclosing definition)}
+    for mod, tree in trees.items():
+        for owner, name in _uses(tree):
+            users.setdefault(name, set()).add((mod, owner))
+    prefixes = tuple(p for tree in trees.values()
+                     for p in _getattr_prefixes(tree))
+    dead = []
+    for mod, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if mod == "emit" and top.name.startswith(prefixes):
+                continue
+            if not users.get(top.name, set()) - {(mod, top.name)}:
+                dead.append("%s.%s" % (mod, top.name))
+    return dead
+
+
+def test_engine_has_no_dead_helpers():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert unreferenced(sources) == []
+
+
+def test_guard_finds_dead_and_self_recursive_helpers():
+    sources = {
+        "a": "def used():\n    return 1\n\n"
+             "def dead():\n    return dead()\n\n"
+             "class Orphan:\n    def m(self):\n        return Orphan()\n",
+        "b": "from .a import used\n\nX = used()\n",
+    }
+    assert unreferenced(sources) == ["a.dead", "a.Orphan"]

@@ -11,6 +11,7 @@ from sphere_calculus.rings import (
     PolyX,
     QPoly,
     SeriesT,
+    _power,
     factorial,
     qpoly_bezout_check,
     rat,
@@ -80,6 +81,28 @@ def test_power_matches_repeated_product(base):
         product = product * base
     with pytest.raises(ValueError):
         base ** -1
+
+
+class Counted:
+    """An element of (Z, +) written multiplicatively, counting products."""
+
+    def __init__(self, e, log):
+        self.e, self.log = e, log
+
+    def __mul__(self, other):
+        self.log.append(1)
+        return Counted(self.e + other.e, self.log)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_power_takes_fewest_products(n):
+    # Square-and-multiply from the lowest set bit: one squaring per bit
+    # below the top one, one product per further set bit.
+    log = []
+    got = _power(Counted(1, log), n, Counted(0, log))
+    assert got.e == n
+    squarings = max(n.bit_length() - 1, 0)
+    assert len(log) == squarings + max(bin(n).count("1") - 1, 0)
 
 
 def test_series_exp_integral():

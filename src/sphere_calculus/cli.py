@@ -18,13 +18,7 @@ from functools import partial
 
 from . import emit
 from .elliptic import IdentityError, blowup_functions, verify_elliptic_identities
-from .embedded import (
-    DerivationError,
-    FitError,
-    derive_embedded,
-    verify_corollary_24,
-    verify_embedded_relation,
-)
+from .embedded import DerivationError, derive_embedded, verify_corollary_24
 from .immersed import derive_immersed, finite_type_order
 from .lens import (
     PosetError,
@@ -36,7 +30,7 @@ from .lens import (
 DEFAULT_ORDER = 32
 MIN_ORDER = 8
 
-FALSIFIED = (IdentityError, DerivationError, FitError, PosetError)
+FALSIFIED = (IdentityError, DerivationError, PosetError)
 
 
 def default_order() -> int:
@@ -131,8 +125,7 @@ def _verify_embedded(lines):
     lines.append("embedded low-n table: ok")
     for n in range(2, 11):
         for eps in (0, 1):
-            rel = derive_embedded(n, eps)
-            verify_embedded_relation(rel)
+            derive_embedded(n, eps)  # model-checked before it returns
             lines.append("embedded n=%d epsilon=%d: ok" % (n, eps))
 
 

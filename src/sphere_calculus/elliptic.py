@@ -3,8 +3,8 @@
 Builds the series B, S, Delta, Q, q used by the blowup calculus,
 machine-checks the identities they satisfy, and owns the products of
 them the rest of the calculus multiplies: the q-basis weight_series
-B^(-a) (2-xq)^(-s) Q^i Q'^j q^k and its triangular solver.  The curve
-data is
+B^(-a) (2-xq)^(-s) Q^i Q'^j q^k and its triangular solver against
+cosh/sinh(t alpha).  The curve data is
 
     g2 = 4(x^2/3 - 1),      g3 = (8x^3 - 36x)/27,
 
@@ -25,8 +25,10 @@ from operator import mul
 from .rings import (
     P_ONE,
     P_ZERO,
+    AlphaPoly,
     PolyX,
     SeriesT,
+    factorial,
     rat,
 )
 
@@ -244,15 +246,16 @@ def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
     return _weight_table(a, s, kernel).term(k, order)
 
 
-def triangular_solve(target, weights, parity: int):
-    """The c_j with sum_i c_i weights[i] equal to target at t^(2j+parity)
-    for j < len(weights); target[k] is the t^k coefficient.  weights[i]
-    has no t^(2j+parity) term for j < i, and each diagonal entry must be
-    a unit (nonzero constant), else ValueError."""
+def triangular_solve(weights, parity: int):
+    """The AlphaPoly c_j with sum_i c_i weights[i] equal to cosh(t alpha)
+    (parity 0) or sinh(t alpha) (parity 1), i.e. alpha^k / k!, at t^k for
+    k = 2j + parity and j < len(weights).  weights[i] has no
+    t^(2j+parity) term for j < i, and each diagonal entry must be a unit
+    (nonzero constant), else ValueError."""
     out = []
     for j, w in enumerate(weights):
         tp = 2 * j + parity
-        acc = target[tp]
+        acc = AlphaPoly.gen(tp) * (rat(1) / factorial(tp))
         for i in range(j):
             acc = acc - out[i] * weights[i][tp]
         diag = w[tp]

@@ -1,12 +1,14 @@
 """Structure equations for embedded spheres.
 
-For a sphere of self-intersection -n the model sets sigma = e_1+...+e_n
-and solves the triangular moment systems produced by admissible twists
-(and, for the odd/even side opposite to the twist parity, by the
-(e_i - e_j) insertion).  The solved coefficient series are then fitted
-to the q-basis B^n Q^parity Q'^delta q^i of elliptic.weight_series, still
-rendered as the S/B/Delta monomials it equals (S = QB, Delta = Q'B^2),
-giving relations in the style of the explicit low-n formulas.
+For a sphere of self-intersection -n, each side of parity pi writes
+exp(t sigma) as sum_i c_i(sigma) times the q-basis B^n Q^pi Q'^delta q^i
+of elliptic.weight_series (delta = epsilon xor pi), rendered as the
+S/B/Delta monomials it equals (S = QB, Delta = Q'B^2), in the style of
+the explicit low-n formulas.  The c_i come from one triangular solve
+against cosh or sinh(t sigma), as the immersed coefficients do.  The
+blowup model (sigma = e_1+...+e_n under every admissible twist count,
+with and without the (e_i - e_j) insertion) then checks each relation
+before derive_embedded returns it.
 """
 
 from __future__ import annotations
@@ -25,12 +27,8 @@ from .model import (
 from .rings import P_ONE, P_ZERO, PolyX, SeriesT, rat
 
 
-class FitError(ValueError):
-    """A series failed to lie in the span of the requested basis."""
-
-
 class DerivationError(AssertionError):
-    """The moment system contradicted the expected structure."""
+    """A derived structure equation disagreed with its check."""
 
 
 @dataclass(frozen=True)
@@ -40,6 +38,7 @@ class EmbeddedRelation:
     Each term is (sigma_power, coeff, (s_exp, b_exp, delta_exp)) and the
     relation reads  exp(t sigma) == sum coeff * sigma^p * S^s B^b Delta^d.
     cosh_terms carry the even sigma powers, sinh_terms the odd ones.
+    order is the t-order the relation was model-checked through.
     """
 
     n: int
@@ -77,84 +76,36 @@ def sigma_powers(n: int, epsilon: int, parity: int):
     return list(range(parity, n - 2 * ((epsilon ^ parity) & 1) + 1, 2))
 
 
-def _solve_side(n: int, epsilon: int, parity: int, order: int):
-    """Solve the moment system for the coefficient series C_p on one side.
-
-    Returns a dict p -> SeriesT.  Uses plain twist equations when the
-    side parity matches epsilon, and (e_i - e_j) insertion equations
-    otherwise.
-    """
-    powers = sigma_powers(n, epsilon, parity)
-    if not powers:
-        return {}
-    use_insertion = (parity % 2) != (epsilon % 2)
-    solved = {}
-    # Back-substitute from the highest twist count down: the equation
-    # with m twisted classes only sees sigma powers p >= m (p >= m - 1
-    # for insertions), by the t^n + O(t^(n+2)) order bound.
-    for idx in range(len(powers) - 1, -1, -1):
-        p_diag = powers[idx]
-        m = p_diag + 1 if use_insertion else p_diag
-        if use_insertion:
-            lhs = smb_insertion_series(n, m, order)
-            value = lambda p: sigma_power_insertion_value(n, m, p, order)
-        else:
-            lhs = smb_series(n, m, order)
-            value = lambda p: sigma_power_value(n, m, p, order)
-        rhs = lhs
-        for p_above in powers[idx + 1 :]:
-            rhs = rhs - solved[p_above] * value(p_above)
-        diag = value(p_diag)
-        if not diag.is_unit():
-            raise DerivationError("moment system diagonal is not a unit")
-        solved[p_diag] = rhs * (P_ONE / diag.constant())
-    return solved
-
-
-def fit_to_basis(f: SeriesT, basis, parity: int):
-    """Express f in a q-basis whose j-th series has its unit diagonal
-    entry at t^(2j + parity) (see triangular_solve); exact.  Returns one
-    PolyX per basis element; raises FitError when f is outside the span."""
-    coeffs = triangular_solve(f, basis, parity)
-    remainder = f
-    for g, c in zip(basis, coeffs):
-        if c:
-            remainder = remainder - g * c
-    k = remainder.valuation()
-    if k >= 0:
-        raise FitError("outside basis span: residual %r at t^%d"
-                       % (remainder[k], k))
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def derive_embedded(n: int, epsilon: int, order: int = None) -> EmbeddedRelation:
-    """Derive the structure equation for an embedded sphere of square -n."""
+    """Derive the structure equation for an embedded sphere of square -n
+    and model-check it through `order` (default 2n + 8) before returning
+    it; raises DerivationError when the model disagrees.
+
+    On the side of parity pi, one triangular solve matches cosh or
+    sinh(t sigma) against the side's q-basis at the t-powers of parity
+    pi; the sigma^p coefficient of the i-th solved c_i(sigma) is the
+    coefficient of sigma^p times the i-th basis monomial."""
     if n < 1:
         raise ValueError("n must be positive")
     epsilon &= 1
     if order is None:
         order = 2 * n + 8
-    terms = {0: [], 1: []}
+    terms = {}
     for parity in (0, 1):
-        solved = _solve_side(n, epsilon, parity, order)
         basis = basis_series(n, epsilon, parity, order)
-        for p in sorted(solved):
-            coeffs = fit_to_basis(solved[p], [f for _, f in basis], parity)
-            for (mono, _), c in zip(basis, coeffs):
-                if c:
-                    terms[parity].append((p, c, mono))
-    return EmbeddedRelation(
-        n=n,
-        epsilon=epsilon,
-        order=order,
-        cosh_terms=tuple(terms[0]),
-        sinh_terms=tuple(terms[1]),
-    )
+        coeffs = triangular_solve([f for _, f in basis], parity)
+        terms[parity] = tuple(
+            (p, c[p], mono) for p in sigma_powers(n, epsilon, parity)
+            for (mono, _), c in zip(basis, coeffs) if c[p])
+    rel = EmbeddedRelation(n=n, epsilon=epsilon, order=order,
+                           cosh_terms=terms[0], sinh_terms=terms[1])
+    verify_embedded_relation(rel)
+    return rel
 
 
 def relation_coefficient_series(rel: EmbeddedRelation, order: int):
-    """The C_p(t, x) series of the relation, reconstructed from the fit."""
+    """The C_p(t, x) series of the relation, rebuilt from its terms."""
     out = {}
     for p, c, (s, _, d) in rel.terms():
         w = weight_series(-rel.n, 0, (p % 2, d), s // 2, order)
@@ -162,16 +113,15 @@ def relation_coefficient_series(rel: EmbeddedRelation, order: int):
     return out
 
 
-def verify_embedded_relation(rel: EmbeddedRelation, order: int = None):
-    """Check the relation against the blowup model for every admissible
-    twist count, with and without the (e_i - e_j) insertion.
+def verify_embedded_relation(rel: EmbeddedRelation):
+    """Check the relation against the blowup model through rel.order, for
+    every admissible twist count, with and without the (e_i - e_j)
+    insertion.
 
     Raises DerivationError naming the first failing check; returns the
     names of the checks made, in order.
     """
-    if order is None:
-        order = rel.order
-    n, eps = rel.n, rel.epsilon
+    n, eps, order = rel.n, rel.epsilon, rel.order
     cps = relation_coefficient_series(rel, order)
     checks = []
 

@@ -1,22 +1,25 @@
 """Embedded-sphere structure equations against printed and model oracles."""
 
+import hashlib
 from dataclasses import replace
 
 import pytest
 
+from sphere_calculus import embedded, emit, immersed
+from sphere_calculus.cli import run
+from sphere_calculus.elliptic import triangular_solve
 from sphere_calculus.embedded import (
     DerivationError,
-    FitError,
     basis_monomials,
     basis_series,
     derive_embedded,
-    fit_to_basis,
     sigma_powers,
     specialize_two_e,
     verify_corollary_24,
     verify_embedded_relation,
 )
-from sphere_calculus.rings import PolyX, SeriesT, rat
+from sphere_calculus.immersed import derive_immersed
+from sphere_calculus.rings import PolyX, rat
 
 
 def test_printed_low_n_table():
@@ -121,30 +124,87 @@ def test_relation_shape():
 
 
 # The -4 sphere's even side: B^4, S^2 B^2, S^4 = B^4 (1, q, q^2).
-FIT_ORDER = 16
-
-
 def even_basis():
-    return [f for _, f in basis_series(4, 0, 0, FIT_ORDER)]
-
-
-def test_fit_reads_q_coordinates():
-    basis = even_basis()
-    f = basis[0] * PolyX.x() + basis[2] * rat(3)
-    assert fit_to_basis(f, basis, 0) == [PolyX.x(), 0, PolyX.const(3)]
-
-
-@pytest.mark.parametrize("k", [5, 6])
-def test_fit_outside_span_names_t_power(k):
-    # t^5 has the other parity; t^6 lies above the top basis element.
-    basis = even_basis()
-    f = basis[1] + SeriesT.one(FIT_ORDER).shift(k).truncate(FIT_ORDER)
-    with pytest.raises(FitError, match=r"at t\^%d$" % k):
-        fit_to_basis(f, basis, 0)
+    return [f for _, f in basis_series(4, 0, 0, 16)]
 
 
 def test_fit_non_unit_diagonal_raises_in_solver():
     basis = even_basis()
     basis[1] = basis[1] * PolyX.x()
     with pytest.raises(ValueError, match=r"t\^2 is not a unit"):
-        fit_to_basis(basis[1], basis, 0)
+        triangular_solve(basis, 0)
+
+
+# sha256 of emit.embedded_json(derive_embedded(n, epsilon)), (n, epsilon)
+# -> digest, for the n above the golden corpus (which stops at n = 5).
+# Recorded from the moment-system solve that the q-basis solve replaced.
+EMBEDDED_JSON_SHA256 = {
+    (6, 0): "2c358af24cde1fafb3d61ae266b1093c9238470187a6141821f6cabf2e28f80b",
+    (7, 0): "2e2e528afff02893de7e8a1bbcf7e5ee351bb1cb848d7717a71bc8004029fd3f",
+    (8, 0): "cdc13bae8c0a29c9b60a08120ea52de69ad1e82bacce978655c58ae4329da219",
+    (9, 0): "469577664e600cfbad8dae792ccb015fd8052a86fc44e2f198cb444e909df694",
+    (10, 0): "0828bd16bac585df028ba2a98d18a2a1c58471a6fde1c48e2feeee530930a36a",
+    (11, 0): "d00b6a40a8c853beee4e3b80490a11ad7464cb9715e096d87c98cf1bdfa81ad9",
+    (12, 0): "34ec3d71f89006bbe7cdf43fee9baed15067236ce3c16c0c81ffba75e595f44e",
+    (13, 0): "ea1a1a28dd866f0f2d158f8ea2a0f17ca474601d81ebd23864b7919735adc756",
+    (14, 0): "46ed3feb4848e5d85564863b72a2f352193e4ece9e60da22ab04a4b61f5325bf",
+    (15, 0): "a6b58bef48f4bed22175a8e41f4ef1075718fbcc4524fe47d103b0cdc6670bc1",
+    (16, 0): "2821e86632825426e5356c62c5705acf8ab02f960dbefb99467ad83f96a1ff54",
+    (17, 0): "004c5b84791dce6b7566cb9733511334d043e618897b2b8b1036f6bedeaf94c8",
+    (18, 0): "6aa455e7fac8a413b26995ada79952e0eabb676b3eb49273de4189fbb71ce8ca",
+    (19, 0): "42d5b8d60d64b69458f5955e68447fa73714adebf8b79727539d6890331a0bb1",
+    (20, 0): "6ceff8be25823d14c24261fce3810a4f97b19b112f187a56aabf5b26e1420c0e",
+    (6, 1): "fe00d7f14b2013d2f17bf53b08ee36dac43e3e503649192c8c4f2453b88e2235",
+    (7, 1): "1a7817bffecb22f02fdc6d4186a835adea7a67e604ac08862401e112fefc720d",
+    (8, 1): "dad7f7ece7e120d5fd48bbe783dfe80a013f52d46dac89853fa44168268e203f",
+    (9, 1): "743d46a76d28cfd596d85d7463469b0924d4cb1161bce1daa859b7ac719d2eab",
+    (10, 1): "ff32cd40cce8447a97d87ace8ce832c05b9e8e5cf7b7fc4d61f6ea1c6db637eb",
+    (11, 1): "fcb8516ee5f2f62c9100e0edf05d400ccf0e03255f1ea1f4d52d408bb270987d",
+    (12, 1): "96c9c8387c6ba7e1cf248fc7f614cf4c4b026c26562e4f7a8095e92a8a8dbae2",
+    (13, 1): "150db75882eb8b504600498204c5d792154f17c068d3bb5f5f8074615463f0db",
+    (14, 1): "1a28e16d5267b7e7bb663fd59cad3390d8d5b3262d774b69c7795d7985f002e4",
+    (15, 1): "df21768d8af67a3e94c39e6c2694388afce9a277ba3d8639fb5dc024abae59af",
+    (16, 1): "27066d1575e465d45a58cbe54537b03e8c734d8fd9a8513cd216f4f92214d88d",
+    (17, 1): "6b048dd880b4e16670ea43b5333e3bf98c04eb82af2e0f896afbc879acb4e7c5",
+    (18, 1): "303ab4c88a4a451e1ef8789ac1ff595a0832db148dd25168758d696d33f84050",
+    (19, 1): "7fbf704aa629aca3f7e17536d963067a4d42d4198d826943b1838f9f7aea7cb3",
+    (20, 1): "c05cedbcdf0748401f2fc9947a95de7a064a0edab9fd21728201eb2ac4703d51",
+}
+
+
+@pytest.mark.parametrize("n, epsilon", sorted(EMBEDDED_JSON_SHA256))
+def test_embedded_json_digest(n, epsilon):
+    doc = emit.embedded_json(derive_embedded(n, epsilon))
+    digest = hashlib.sha256(doc.encode()).hexdigest()
+    assert digest == EMBEDDED_JSON_SHA256[n, epsilon]
+
+
+@pytest.fixture
+def planted_model(monkeypatch):
+    """The model value of sigma^1 with one twisted class, plus one: the
+    derived relations no longer agree with the model at twists=1."""
+    true_value = embedded.sigma_power_value
+
+    def planted(n, twist_count, p, order):
+        value = true_value(n, twist_count, p, order)
+        return value + 1 if (twist_count, p) == (1, 1) else value
+
+    caches = (embedded.derive_embedded, immersed.derive_immersed)
+    for cache in caches:
+        cache.cache_clear()
+    monkeypatch.setattr(embedded, "sigma_power_value", planted)
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_planted_model_disagreement_fails_derivation(planted_model, capsys):
+    message = r"n=4 epsilon=1 fails at twists=1: residual at t\^1$"
+    with pytest.raises(DerivationError, match=message):
+        derive_embedded(4, 1)
+    with pytest.raises(DerivationError, match=message):
+        derive_immersed(0, 0, -4)
+    assert run(["embedded", "--n", "4", "--epsilon", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "fails at twists=1" in err

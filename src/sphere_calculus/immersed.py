@@ -22,7 +22,9 @@ rewrites alpha^m, for m above that equation's degree bound, as a
 lower-degree polynomial in alpha (after dividing by that equation's
 (x^2-4)^r factor).  Every step residual is reduced through these
 rewrite rules and must then vanish identically; a nonzero reduced
-residual falsifies the step.
+residual falsifies the step.  The rewrite rules of one family of
+sources form one echelon basis, shared by every step that reads them;
+each step reduces only with the rules of the t-powers it has asked for.
 """
 
 from __future__ import annotations
@@ -249,6 +251,41 @@ def _chain_relation(p: int, s: int, a: int, chain, m: int):
     return eq.r, AlphaPoly.gen(m) - expansion_coefficient(eq, side, m)
 
 
+class _Echelon:
+    """The echelon basis of the relations from `sources` (one per tuple,
+    see `_echelon`): {top alpha-degree: (m, pivot)}, m the t-power whose
+    relations inserted it, grown in (m, source, s') order.  Inserting never
+    changes a pivot, so those tagged <= M are the basis of a load to t^M."""
+
+    def __init__(self, sources):
+        self.sources, self.pivots, self.loaded = sources, {}, -1
+
+    def _insert(self, rel: AlphaPoly, m: int):
+        while rel:
+            d = rel.degree
+            lead = rel[d]
+            if lead.degree == 0 and lead != P_ONE:
+                rel = rel * (rat(1) / lead.constant())
+            got = self.pivots.get(d)
+            if got is None:
+                self.pivots[d] = (m, rel)
+                return
+            piv = got[1]
+            rel = rel * piv[d] - piv * rel[d]
+
+    def load(self, mmax: int):
+        for m in range(self.loaded + 1, mmax + 1):
+            for p_src, a_src, chain in self.sources:
+                for s in range(p_src, -1, -1):
+                    got = _chain_relation(p_src, s, a_src, chain, m)
+                    if got is not None:
+                        self._insert(got[1] * X2M4**got[0], m)
+            self.loaded = m
+
+
+_echelon = lru_cache(maxsize=None)(_Echelon)
+
+
 class ReductionContext:
     """Kernel relations from a family of structure equations and,
     optionally, from blown-down input equations, organised as an
@@ -264,48 +301,30 @@ class ReductionContext:
     basis decides membership in the span of the relations over rational
     functions of x.  Cross-multiplication only ever scales a residual
     by a nonzero polynomial, so a zero result certifies vanishing.
+
+    The basis belongs to the source family and is shared by every step
+    that reads it.  A context reduces only with the pivots inserted
+    through its own watermark, the deepest t-power it has loaded, so it
+    sees exactly the basis a fresh load through that t-power builds.
     """
 
     def __init__(self, p: int, a: int, extra_sources=()):
-        self.sources = [(p, a, ())] + list(extra_sources)
-        self._basis = {}
+        self._echelon = _echelon(((p, a, ()),) + tuple(extra_sources))
         self._loaded = -1
-
-    def _insert(self, rel: AlphaPoly):
-        while rel:
-            d = rel.degree
-            lead = rel[d]
-            if lead.degree == 0:
-                rel = rel * (rat(1) / lead.constant())
-            piv = self._basis.get(d)
-            if piv is None:
-                self._basis[d] = rel
-                return
-            rel = rel * piv[d] - piv * rel[d]
-
-    def _load(self, mmax: int):
-        for m in range(self._loaded + 1, mmax + 1):
-            for p_src, a_src, chain in self.sources:
-                for s in range(p_src, -1, -1):
-                    got = _chain_relation(p_src, s, a_src, chain, m)
-                    if got is None:
-                        continue
-                    need, rel = got
-                    if need:
-                        rel = rel * X2M4**need
-                    self._insert(rel)
-        self._loaded = max(self._loaded, mmax)
 
     def reduce(self, poly: AlphaPoly) -> AlphaPoly:
         if poly:
             # A twisted transport lowers the top degree, so relations
             # taken from t^m touch degrees down to m - 2; load a margin.
-            self._load(poly.degree + 2)
+            self._loaded = max(self._loaded, poly.degree + 2)
+            self._echelon.load(self._loaded)
+        pivots, mark = self._echelon.pivots, self._loaded
         while poly:
-            piv = self._basis.get(poly.degree)
-            if piv is None:
-                return poly
             d = poly.degree
+            got = pivots.get(d)
+            if got is None or got[0] > mark:
+                return poly
+            piv = got[1]
             poly = poly * piv[d] - piv * poly[d]
         return poly
 

@@ -17,6 +17,7 @@ from .elliptic import blowup_functions, weight_series
 from .rings import PolyX, SeriesT, factorial
 
 
+@lru_cache(maxsize=None)
 def moments(kind: str, j: int) -> PolyX:
     """j! times the t^j coefficient of B or S."""
     if j < 0:

@@ -199,12 +199,18 @@ class PolyX:
     def __mul__(self, other):
         if type(other) is not PolyX:
             if isinstance(other, _RAT_TYPES):
+                if other == 1:
+                    return self
                 n, d = _int_pair(other)
                 return _canon([c * n for c in self.num], self.den * d)
             other = _as_polyx(other)
             if other is NotImplemented:
                 return NotImplemented
         a, b = self.num, other.num
+        if b == (1,) and other.den == 1:
+            return self
+        if a == (1,) and self.den == 1:
+            return other
         if not a or not b:
             return P_ZERO
         if len(a) < len(b):
@@ -554,6 +560,8 @@ class RingPoly:
     def __mul__(self, other):
         if isinstance(other, (PolyX,) + _RAT_TYPES):
             p = _as_polyx(other)
+            if p.den == 1 and p.num == (1,):
+                return self
             return self._of([c * p if c else c for c in self.coeffs])
         other = self._coerce(other)
         if other is None:

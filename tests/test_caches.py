@@ -50,6 +50,8 @@ def test_engine_caches_are_found():
         ("sphere_calculus.elliptic", "_weight_table"),
         ("sphere_calculus.immersed", "derive_immersed"),
         ("sphere_calculus.immersed", "_expansion_coefficients"),
+        ("sphere_calculus.immersed", "_Echelon"),  # immersed._echelon
+        ("sphere_calculus.model", "moments"),
         ("sphere_calculus.embedded", "derive_embedded"),
     } <= names
 

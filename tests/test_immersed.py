@@ -4,10 +4,14 @@ import dataclasses
 
 import pytest
 
+from sphere_calculus import immersed
 from sphere_calculus.embedded import DerivationError, derive_embedded
 from sphere_calculus.immersed import (
     BEZOUT_STEP2,
     BEZOUT_STEP3,
+    X2M4,
+    ReductionContext,
+    _chain_relation,
     base_case,
     derive_immersed,
     finite_type_order,
@@ -199,6 +203,103 @@ def test_tampered_input_is_falsified_odd_step():
     bad = dataclasses.replace(nf, c=nf.c[:-1] + (nf.c[-1] + const(1),))
     with pytest.raises(DerivationError):
         step_p_odd(bad)
+
+
+# ------------------------------------------------- shared echelon basis
+
+
+class FreshContext:
+    """Reference: one echelon basis per step, built from nothing and
+    loaded in (m, source, s') order up to the step's own watermark."""
+
+    def __init__(self, p, a, extra_sources=()):
+        self.sources = [(p, a, ())] + list(extra_sources)
+        self.basis = {}
+        self.loaded = -1
+
+    def insert(self, rel):
+        while rel:
+            d = rel.degree
+            lead = rel[d]
+            if lead.degree == 0:
+                rel = rel * (rat(1) / lead.constant())
+            piv = self.basis.get(d)
+            if piv is None:
+                self.basis[d] = rel
+                return
+            rel = rel * piv[d] - piv * rel[d]
+
+    def load(self, mmax):
+        for m in range(self.loaded + 1, mmax + 1):
+            for p_src, a_src, chain in self.sources:
+                for s in range(p_src, -1, -1):
+                    got = _chain_relation(p_src, s, a_src, chain, m)
+                    if got is not None:
+                        self.insert(got[1] * X2M4**got[0])
+        self.loaded = max(self.loaded, mmax)
+
+    def reduce(self, poly):
+        if poly:
+            self.load(poly.degree + 2)
+        while poly:
+            piv = self.basis.get(poly.degree)
+            if piv is None:
+                return poly
+            d = poly.degree
+            poly = poly * piv[d] - piv * poly[d]
+        return poly
+
+
+def perturbed(poly):
+    return poly + A(max(poly.degree, 0)) * X
+
+
+def test_shared_basis_reduces_as_a_fresh_one(monkeypatch):
+    tally = {"reduce": 0, "nonzero": 0}
+
+    class Checked(ReductionContext):
+        def __init__(self, p, a, extra_sources=()):
+            super().__init__(p, a, extra_sources)
+            self.ref = FreshContext(p, a, extra_sources)
+
+        def reduce(self, poly):
+            got = super().reduce(poly)
+            assert got == self.ref.reduce(poly)
+            bumped = perturbed(poly)
+            res = super().reduce(bumped)
+            assert res == self.ref.reduce(bumped)
+            tally["reduce"] += 2
+            tally["nonzero"] += bool(got) + bool(res)
+            return got
+
+    monkeypatch.setattr(immersed, "ReductionContext", Checked)
+    derive_immersed.cache_clear()
+    immersed._echelon.cache_clear()
+    try:
+        for p in range(4):
+            for s in range(p + 1):
+                for a in range(-12, 4 * p - 1):
+                    derive_immersed(p, s, a)
+    finally:
+        derive_immersed.cache_clear()
+    assert tally["reduce"] > 10000 and tally["nonzero"] > 5000
+
+
+@pytest.mark.parametrize("p, a, extra, deep, shallow", [
+    # the sources of step 1 into (3, 1, -6), warmed by (3, 3, -6)
+    (3, -6, [(2, -10, ("B",)), (2, -10, ("S",))], (3, 3, -6), 3),
+    # four twisted blowups lower the top degree by four, so the
+    # relations from t^m land on pivots of degree m - 4
+    (1, -4, [(0, -2, ("S",) * 4)], None, 4),
+])
+def test_warm_family_keeps_each_context_watermark(p, a, extra, deep,
+                                                  shallow):
+    if deep is not None:
+        derive_immersed(*deep)
+    ReductionContext(p, a, extra).reduce(A(3 * shallow))
+    poly = A(shallow) * X + A(shallow - 1) + const(1)
+    got = ReductionContext(p, a, extra).reduce(poly)
+    assert got and got == FreshContext(p, a, extra).reduce(poly)
 
 
 # ---------------------------------------------------------- finite type

@@ -237,6 +237,24 @@ def test_equal_polynomials_compare_and_hash_equal(a, b):
     assert a * b == b * a and hash(a * b) == hash(b * a)
 
 
+ONES = [1, rat(1), rat(7, 7), PolyX.const(1), PolyX.x() - PolyX.x() + 1]
+
+
+@given(wide_polys, wide_rationals, st.sampled_from(ONES))
+@settings(max_examples=80, deadline=None)
+def test_product_by_one_is_the_operand(a, c, one):
+    for got, want in ((a * one, a), (one * a, a),
+                      (PolyX.const(1) * c, PolyX.const(c))):
+        assert_canonical(got)
+        assert got == want and hash(got) == hash(want)
+        assert (got.num, got.den) == (want.num, want.den)
+    for ring in (AlphaPoly, QPoly):
+        f = ring((a, -a, PolyX(), a * PolyX.x() + c))
+        for got in (f * one, one * f):
+            assert type(got) is ring and got == f
+            assert got.coeffs == f.coeffs and hash(got) == hash(f)
+
+
 def test_equal_polynomials_from_different_fractions():
     half = PolyX((rat(1, 2),))
     assert PolyX((rat(2, 4),)) == half

@@ -22,9 +22,9 @@ rewrites alpha^m, for m above that equation's degree bound, as a
 lower-degree polynomial in alpha (after dividing by that equation's
 (x^2-4)^r factor).  Every step residual is reduced through these
 rewrite rules and must then vanish identically; a nonzero reduced
-residual falsifies the step.  The rewrite rules of one family of
-sources form one echelon basis, shared by every step that reads them;
-each step reduces only with the rules of the t-powers it has asked for.
+residual falsifies the step.  A step into (p, s, a) uses the rewrite
+rules of its target family, the (p, s', a) equations for every s'; they
+form one echelon basis, shared by every step into that family.
 """
 
 from __future__ import annotations
@@ -211,6 +211,8 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
     return out * factorial(tpow)
 
 
+# Hardly any residual repeats, but the benchmark's traced run reads this
+# memo's cache_info(), so it stays an lru_cache until the benchmark drops it.
 @lru_cache(maxsize=None)
 def _expansion_coefficients(a, s, side, coeffs, order):
     """Plain Taylor coefficients (per power of t, alpha symbolic) of
@@ -226,23 +228,18 @@ def _expansion_coefficients(a, s, side, coeffs, order):
     return tuple(out)
 
 
+# Each family loads each relation once, so this memo never hits, but the
+# benchmark's traced run reads its cache_info(), so it stays an lru_cache
+# until the benchmark drops it.
 @lru_cache(maxsize=None)
-def _chain_relation(p: int, s: int, a: int, chain, m: int):
+def _chain_relation(p: int, s: int, a: int, m: int):
     """The alpha-relation obtained from the t^m coefficient of the
-    (p, s, a) structure equation, transported through the blowup modes
-    in `chain`.
+    (p, s, a) structure equation.
 
     The t^m coefficient reads (x^2-4)^r (alpha^m - rho) == 0 with
-    rho the matching Taylor coefficient of the right-hand side; applying
-    shift_reduce along the chain keeps it a relation, now on the class
-    of the blown-down sphere.  Returns (r, relation) or None when m is
-    within the equation's retained range (no rule available)."""
-    if chain:
-        # Chains sharing a prefix share its transport.
-        got = _chain_relation(p, s, a, chain[:-1], m)
-        if got is None:
-            return None
-        return got[0], shift_reduce(got[1], chain[-1])
+    rho the matching Taylor coefficient of the right-hand side.  Returns
+    (r, relation) or None when m is within the equation's retained range
+    (no rule available)."""
     eq = _make_target(p, s, a)
     side = "sinh" if m % 2 else "cosh"
     bound = eq.k0 if m % 2 else eq.k
@@ -251,82 +248,63 @@ def _chain_relation(p: int, s: int, a: int, chain, m: int):
     return eq.r, AlphaPoly.gen(m) - expansion_coefficient(eq, side, m)
 
 
-class _Echelon:
-    """The echelon basis of the relations from `sources` (one per tuple,
-    see `_echelon`): {top alpha-degree: (m, pivot)}, m the t-power whose
-    relations inserted it, grown in (m, source, s') order.  Inserting never
-    changes a pivot, so those tagged <= M are the basis of a load to t^M."""
+class ReductionContext:
+    """The kernel relations of the (p, s', a) structure equations, for
+    every s', organised as an echelon basis {top alpha-degree: pivot}.
 
-    def __init__(self, sources):
-        self.sources, self.pivots, self.loaded = sources, {}, -1
+    The t^m coefficient of the (p, s', a) equation gives the relation
+    (x^2-4)^{r(p,s')} (alpha^m - rho) == 0 with rho the matching Taylor
+    coefficient of the right-hand side.  Relations sharing a top degree
+    are folded together by cross-multiplying their leading coefficients,
+    which strictly lowers the degree; reduction against the basis does
+    the same to a residual.  A zero result therefore shows that the
+    residual times a product of pivot leads, a nonzero polynomial in x,
+    is a combination of the relations: the residual vanishes over the
+    rational functions of x.  The leads can carry factors of x^2-4, which
+    the structure equations do not allow dividing by (when k = k0 = -1
+    the t^0 relation is the degree-0 pivot (x^2-4)^r itself), so there a
+    zero result certifies only that (x^2-4)^e times the residual vanishes
+    for some e.
 
-    def _insert(self, rel: AlphaPoly, m: int):
+    One context serves every step into the family (see `_family`).  It
+    loads the relations of t^0, t^1, ... in (m, s' descending) order up
+    to the top degree of the residual it reduces.
+    """
+
+    def __init__(self, p: int, a: int):
+        self.p, self.a, self.pivots, self.loaded = p, a, {}, -1
+
+    def _insert(self, rel: AlphaPoly):
         while rel:
             d = rel.degree
             lead = rel[d]
             if lead.degree == 0 and lead != P_ONE:
                 rel = rel * (rat(1) / lead.constant())
-            got = self.pivots.get(d)
-            if got is None:
-                self.pivots[d] = (m, rel)
+            piv = self.pivots.get(d)
+            if piv is None:
+                self.pivots[d] = rel
                 return
-            piv = got[1]
             rel = rel * piv[d] - piv * rel[d]
-
-    def load(self, mmax: int):
-        for m in range(self.loaded + 1, mmax + 1):
-            for p_src, a_src, chain in self.sources:
-                for s in range(p_src, -1, -1):
-                    got = _chain_relation(p_src, s, a_src, chain, m)
-                    if got is not None:
-                        self._insert(got[1] * X2M4**got[0], m)
-            self.loaded = m
-
-
-_echelon = lru_cache(maxsize=None)(_Echelon)
-
-
-class ReductionContext:
-    """Kernel relations from a family of structure equations and,
-    optionally, from blown-down input equations, organised as an
-    echelon basis indexed by top alpha-degree.
-
-    Each source is a triple (p, a, chain): the (p, s', a) equations for
-    every s', transported through the blowup modes in `chain`.  The t^m
-    coefficient of such an equation gives the relation
-    (x^2-4)^{r(p,s')} (alpha^m - rho) == 0 with rho the matching Taylor
-    coefficient of the right-hand side.  Relations sharing a top degree
-    are folded together by cross-multiplying their leading coefficients,
-    which strictly lowers the degree; reduction against the resulting
-    basis decides membership in the span of the relations over rational
-    functions of x.  Cross-multiplication only ever scales a residual
-    by a nonzero polynomial, so a zero result certifies vanishing.
-
-    The basis belongs to the source family and is shared by every step
-    that reads it.  A context reduces only with the pivots inserted
-    through its own watermark, the deepest t-power it has loaded, so it
-    sees exactly the basis a fresh load through that t-power builds.
-    """
-
-    def __init__(self, p: int, a: int, extra_sources=()):
-        self._echelon = _echelon(((p, a, ()),) + tuple(extra_sources))
-        self._loaded = -1
 
     def reduce(self, poly: AlphaPoly) -> AlphaPoly:
         if poly:
-            # A twisted transport lowers the top degree, so relations
-            # taken from t^m touch degrees down to m - 2; load a margin.
-            self._loaded = max(self._loaded, poly.degree + 2)
-            self._echelon.load(self._loaded)
-        pivots, mark = self._echelon.pivots, self._loaded
+            for m in range(self.loaded + 1, poly.degree + 1):
+                for s in range(self.p, -1, -1):
+                    got = _chain_relation(self.p, s, self.a, m)
+                    if got is not None:
+                        self._insert(got[1] * X2M4**got[0])
+                self.loaded = m
         while poly:
             d = poly.degree
-            got = pivots.get(d)
-            if got is None or got[0] > mark:
+            piv = self.pivots.get(d)
+            if piv is None:
                 return poly
-            piv = got[1]
             poly = poly * piv[d] - piv * poly[d]
         return poly
+
+
+# The one context of each target family (p, a), shared by its steps.
+_family = lru_cache(maxsize=None)(ReductionContext)
 
 
 def base_case(a: int) -> NormalForm:
@@ -353,7 +331,7 @@ def _check_order(nf: NormalForm) -> int:
     return max(CHECK_ORDER_MIN, 2 * max(nf.k, nf.k0, 0) + 10)
 
 
-def _check_side(ctx, nf, out, side, terms, what, retained=False):
+def _check_side(nf, out, side, terms, what, retained=False):
     """Certify one side of a step from input `nf` to output `out`.
 
     The step combines the transported input lists as sum f * lst over
@@ -364,7 +342,7 @@ def _check_side(ctx, nf, out, side, terms, what, retained=False):
     the combination equals the output's coefficients there.  Put into
     the output's series B^(-a)(2-xq)^(-s) K sum_i q^i (...)_i, the
     residual must have every Taylor coefficient reduce to zero modulo
-    the rewrite rules of `ctx`."""
+    the rewrite rules of the output's family."""
     target = out.c if side == "cosh" else out.d
     scale = X2M4**nf.r
     residual = _combine([(f * scale, lst) for f, lst in terms]
@@ -378,6 +356,7 @@ def _check_side(ctx, nf, out, side, terms, what, retained=False):
         return
     total = _expansion_coefficients(out.a, out.s, side, tuple(residual),
                                     _check_order(nf))
+    ctx = _family(out.p, out.a)
     for j, coeff in enumerate(total):
         res = ctx.reduce(coeff)
         if res:
@@ -399,9 +378,7 @@ def step_raise_s(nf: NormalForm) -> NormalForm:
     out = _make_target(p, s, a)
     # Both sides times 2-xq live over the denominator (2-xq)^s, so the
     # canonical output enters the residual at exponent s, not s+1.  The
-    # whole residual sits under the common factor (x^2-4)^r; the
-    # reduction context knows the blown-down input equations as well.
-    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
+    # whole residual sits under the common factor (x^2-4)^r.
     half = rat(1, 2)
 
     # cosh: [1-q^2 weight] c~B  +  [1-xq+q^2 weight] d~S/2; the weights
@@ -410,13 +387,13 @@ def step_raise_s(nf: NormalForm) -> NormalForm:
     # coefficients (the analogue of d_{k+2} = 0 and c_{k+1} = -d_{k+1})
     # vanish modulo the rewrite rules, which the residual check covers.
     one = QPoly.const(1)
-    _check_side(ctx, nf, out, "cosh",
+    _check_side(nf, out, "cosh",
                 [(one, _sr(nf.c, "B")), (one, _sr(nf.d, "S", half))],
                 "step 1", retained=True)
 
     # sinh: [1-q^2 weight] d~B  +  [q weight] c~S/2; combine with the
     # multipliers 2 and 2q - x so the weights sum to 2-xq.
-    _check_side(ctx, nf, out, "sinh",
+    _check_side(nf, out, "sinh",
                 [(QPoly.const(2), _sr(nf.d, "B")),
                  (QPoly((-X, PolyX.const(2))), _sr(nf.c, "S", half))],
                 "step 1", retained=True)
@@ -438,18 +415,17 @@ def step_p_odd(nf: NormalForm) -> NormalForm:
     out = _make_target(p, 0, a)
     if out.r != nf.r + 1:
         raise DerivationError("step 2 must increment r")
-    ctx = ReductionContext(p, a, [(nf.p, nf.a, ("B",)), (nf.p, nf.a, ("S",))])
     half = rat(1, 2)
 
     # cosh: phi1 * [1-q^2 weight, c~B] + phi2 * [1-xq+q^2 weight, d~S/2]
-    _check_side(ctx, nf, out, "cosh",
+    _check_side(nf, out, "cosh",
                 [(phi1, _sr(nf.c, "B")), (phi2, _sr(nf.d, "S", half))],
                 "step 2")
 
     # sinh: (x^2-4) * [1-q^2 weight, d~B] + q(x^2-4) * [q weight, c~S/2];
     # the weights combine to (1-q^2) + q*q = 1, trading the denominators
     # for one factor of x^2-4.
-    _check_side(ctx, nf, out, "sinh",
+    _check_side(nf, out, "sinh",
                 [(QPoly.const(X2M4), _sr(nf.d, "B")),
                  (QPoly((P_ZERO, X2M4)), _sr(nf.c, "S", half))],
                 "step 2")
@@ -472,12 +448,6 @@ def step_p_even(nf: NormalForm) -> NormalForm:
     out = _make_target(p, 0, a)
     if out.r != nf.r + 1:
         raise DerivationError("step 3 must increment r")
-    ctx = ReductionContext(
-        p, a,
-        [(nf.p, nf.a, ("B", "B")), (nf.p, nf.a, ("B", "S")),
-         (nf.p, nf.a, ("S", "S"))],
-    )
-
     # On each side the twice-untwisted equation carries weight
     # (1-q^2)^2; the twice-twisted one (scaled by 1/4) carries
     # q(1-xq+q^2), whose free term must vanish so the index shift
@@ -486,7 +456,7 @@ def step_p_even(nf: NormalForm) -> NormalForm:
         twisted = _sr(_sr(coeffs, "S"), "S", rat(1, 4))
         if twisted and twisted[0]:
             raise DerivationError("step 3 %s free term did not vanish" % side)
-        _check_side(ctx, nf, out, side,
+        _check_side(nf, out, side,
                     [(phi1, _sr(_sr(coeffs, "B"), "B")), (phi2, twisted[1:])],
                     "step 3")
     return out

@@ -10,7 +10,6 @@ from sphere_calculus.immersed import (
     BEZOUT_STEP2,
     BEZOUT_STEP3,
     X2M4,
-    ReductionContext,
     _chain_relation,
     base_case,
     derive_immersed,
@@ -209,13 +208,20 @@ def test_tampered_input_is_falsified_odd_step():
 
 
 class FreshContext:
-    """Reference: one echelon basis per step, built from nothing and
-    loaded in (m, source, s') order up to the step's own watermark."""
+    """Reference: one echelon basis per step, built from nothing out of
+    the target family (p, a) and the blown-down input sources
+    (p_in, a_in, chain), whose relations are transported through the
+    blowup modes in `chain`.  It loads in (m, source, s') order through
+    two above the top degree of the deepest residual it has reduced.
+    `insertions` and `made` count, per source, the relations inserted and
+    the pivots they made."""
 
     def __init__(self, p, a, extra_sources=()):
         self.sources = [(p, a, ())] + list(extra_sources)
         self.basis = {}
         self.loaded = -1
+        self.insertions = [0] * len(self.sources)
+        self.made = [0] * len(self.sources)
 
     def insert(self, rel):
         while rel:
@@ -226,16 +232,22 @@ class FreshContext:
             piv = self.basis.get(d)
             if piv is None:
                 self.basis[d] = rel
-                return
+                return True
             rel = rel * piv[d] - piv * rel[d]
+        return False
 
     def load(self, mmax):
         for m in range(self.loaded + 1, mmax + 1):
-            for p_src, a_src, chain in self.sources:
+            for i, (p_src, a_src, chain) in enumerate(self.sources):
                 for s in range(p_src, -1, -1):
-                    got = _chain_relation(p_src, s, a_src, chain, m)
-                    if got is not None:
-                        self.insert(got[1] * X2M4**got[0])
+                    got = _chain_relation(p_src, s, a_src, m)
+                    if got is None:
+                        continue
+                    rel = got[1]
+                    for mode in chain:
+                        rel = shift_reduce(rel, mode)
+                    self.insertions[i] += 1
+                    self.made[i] += self.insert(rel * X2M4**got[0])
         self.loaded = max(self.loaded, mmax)
 
     def reduce(self, poly):
@@ -250,31 +262,52 @@ class FreshContext:
         return poly
 
 
+# Each step: (the target's p and a less the input's, blown-down chains).
+BLOWN_DOWN = {
+    "step_raise_s": (1, 4, [("B",), ("S",)]),
+    "step_p_odd": (1, 4, [("B",), ("S",)]),
+    "step_p_even": (2, 8, [("B", "B"), ("B", "S"), ("S", "S")]),
+}
+
+
 def perturbed(poly):
     return poly + A(max(poly.degree, 0)) * X
 
 
 def test_shared_basis_reduces_as_a_fresh_one(monkeypatch):
     tally = {"reduce": 0, "nonzero": 0}
+    refs = []
+    family = immersed._family
 
-    class Checked(ReductionContext):
-        def __init__(self, p, a, extra_sources=()):
-            super().__init__(p, a, extra_sources)
-            self.ref = FreshContext(p, a, extra_sources)
+    def fresh_per_step(step, dp, da, chains):
+        def run(nf):
+            refs.append(FreshContext(nf.p + dp, nf.a + da,
+                                     [(nf.p, nf.a, c) for c in chains]))
+            return step(nf)
+        return run
+
+    class Checked:
+        def __init__(self, p, a):
+            self.ctx, self.ref = family(p, a), refs[-1]
+            assert self.ref.sources[0] == (p, a, ())
 
         def reduce(self, poly):
-            got = super().reduce(poly)
+            got = self.ctx.reduce(poly)
             assert got == self.ref.reduce(poly)
             bumped = perturbed(poly)
-            res = super().reduce(bumped)
+            res = self.ctx.reduce(bumped)
             assert res == self.ref.reduce(bumped)
             tally["reduce"] += 2
             tally["nonzero"] += bool(got) + bool(res)
             return got
 
-    monkeypatch.setattr(immersed, "ReductionContext", Checked)
+    for name, (dp, da, chains) in BLOWN_DOWN.items():
+        monkeypatch.setattr(immersed, name,
+                            fresh_per_step(getattr(immersed, name),
+                                           dp, da, chains))
+    monkeypatch.setattr(immersed, "_family", Checked)
     derive_immersed.cache_clear()
-    immersed._echelon.cache_clear()
+    family.cache_clear()
     try:
         for p in range(4):
             for s in range(p + 1):
@@ -283,22 +316,25 @@ def test_shared_basis_reduces_as_a_fresh_one(monkeypatch):
     finally:
         derive_immersed.cache_clear()
     assert tally["reduce"] > 10000 and tally["nonzero"] > 5000
+    # The fact the shared basis rests on: the blown-down relations only
+    # ever eliminate to zero against the target family's.
+    assert sum(sum(ref.insertions[1:]) for ref in refs) > 1000
+    assert sum(sum(ref.made[1:]) for ref in refs) == 0
+    assert sum(ref.made[0] for ref in refs) > 0
 
 
 @pytest.mark.parametrize("p, a, extra, deep, shallow", [
     # the sources of step 1 into (3, 1, -6), warmed by (3, 3, -6)
     (3, -6, [(2, -10, ("B",)), (2, -10, ("S",))], (3, 3, -6), 3),
-    # four twisted blowups lower the top degree by four, so the
-    # relations from t^m land on pivots of degree m - 4
-    (1, -4, [(0, -2, ("S",) * 4)], None, 4),
 ])
 def test_warm_family_keeps_each_context_watermark(p, a, extra, deep,
                                                   shallow):
-    if deep is not None:
-        derive_immersed(*deep)
-    ReductionContext(p, a, extra).reduce(A(3 * shallow))
+    # A family loaded deep by other steps reduces a shallow residual as
+    # a fresh per-step basis with the blown-down sources does.
+    derive_immersed(*deep)
+    immersed._family(p, a).reduce(A(3 * shallow))
     poly = A(shallow) * X + A(shallow - 1) + const(1)
-    got = ReductionContext(p, a, extra).reduce(poly)
+    got = immersed._family(p, a).reduce(poly)
     assert got and got == FreshContext(p, a, extra).reduce(poly)
 
 

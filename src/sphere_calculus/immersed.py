@@ -20,11 +20,15 @@ holds modulo the relations the structure equations themselves impose on
 powers of alpha.  Comparing t-coefficients of a (p, s') equation
 rewrites alpha^m, for m above that equation's degree bound, as a
 lower-degree polynomial in alpha (after dividing by that equation's
-(x^2-4)^r factor).  Every step residual is reduced through these
-rewrite rules and must then vanish identically; a nonzero reduced
-residual falsifies the step.  A step into (p, s, a) uses the rewrite
-rules of its target family, the (p, s', a) equations for every s'; they
-form one echelon basis, shared by every step into that family.
+(x^2-4)^r factor).  A step into (p, s, a) uses the rewrite rules of its
+target family, the (p, s', a) equations for every s'; they form one
+echelon basis, shared by every step into that family.  Each
+q-coefficient of the step residual is reduced against it once.  The
+normal form over the rational functions of x is linear, and every
+Taylor coefficient of the residual series is a combination of the
+q-coefficients with weights in Q[x], so the step holds exactly when the
+series of the reduced q-coefficients vanishes.  Its first nonzero
+Taylor coefficient falsifies the step.
 """
 
 from __future__ import annotations
@@ -211,8 +215,9 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
     return out * factorial(tpow)
 
 
-# Hardly any residual repeats, but the benchmark's traced run reads this
-# memo's cache_info(), so it stays an lru_cache until the benchmark drops it.
+# Reached only for a step whose reduced residual is nonzero.  Hardly any
+# residual repeats, but the benchmark's traced run reads this memo's
+# cache_info(), so it stays an lru_cache until the benchmark drops it.
 @lru_cache(maxsize=None)
 def _expansion_coefficients(a, s, side, coeffs, order):
     """Plain Taylor coefficients (per power of t, alpha symbolic) of
@@ -256,15 +261,18 @@ class ReductionContext:
     (x^2-4)^{r(p,s')} (alpha^m - rho) == 0 with rho the matching Taylor
     coefficient of the right-hand side.  Relations sharing a top degree
     are folded together by cross-multiplying their leading coefficients,
-    which strictly lowers the degree; reduction against the basis does
-    the same to a residual.  A zero result therefore shows that the
-    residual times a product of pivot leads, a nonzero polynomial in x,
-    is a combination of the relations: the residual vanishes over the
-    rational functions of x.  The leads can carry factors of x^2-4, which
-    the structure equations do not allow dividing by (when k = k0 = -1
-    the t^0 relation is the degree-0 pivot (x^2-4)^r itself), so there a
-    zero result certifies only that (x^2-4)^e times the residual vanishes
-    for some e.
+    which strictly lowers the degree.  `reduce` clears every monomial of
+    a polynomial at a pivot degree the same way, from the top down, and
+    returns the remainder with the multiplier, the product of the pivot
+    leads used: multiplier * poly - remainder is a combination of the
+    relations, so remainder / multiplier is the normal form of poly over
+    the rational functions of x.  A zero remainder shows that poly
+    vanishes there.  The leads can carry factors of x^2-4, which the
+    structure equations do not allow dividing by, so a zero remainder
+    certifies only that (x^2-4)^e times poly vanishes for some e.  In
+    every family with a >= -1 this certifies nothing: the s' = 0 member
+    has k = -1, an empty cosh side, so its t^0 relation is the degree-0
+    pivot (x^2-4)^r and every polynomial reduces to zero.
 
     One context serves every step into the family (see `_family`).  It
     loads the relations of t^0, t^1, ... in (m, s' descending) order up
@@ -286,7 +294,10 @@ class ReductionContext:
                 return
             rel = rel * piv[d] - piv * rel[d]
 
-    def reduce(self, poly: AlphaPoly) -> AlphaPoly:
+    def reduce(self, poly: AlphaPoly):
+        """(remainder, multiplier), the remainder free of pivot degrees
+        and multiplier * poly - remainder a combination of relations."""
+        mult = P_ONE
         if poly:
             for m in range(self.loaded + 1, poly.degree + 1):
                 for s in range(self.p, -1, -1):
@@ -294,13 +305,12 @@ class ReductionContext:
                     if got is not None:
                         self._insert(got[1] * X2M4**got[0])
                 self.loaded = m
-        while poly:
-            d = poly.degree
-            piv = self.pivots.get(d)
-            if piv is None:
-                return poly
-            poly = poly * piv[d] - piv * poly[d]
-        return poly
+            for d in range(poly.degree, -1, -1):
+                piv = self.pivots.get(d)
+                if piv is not None and poly[d]:
+                    mult = mult * piv[d]
+                    poly = poly * piv[d] - piv * poly[d]
+        return poly, mult
 
 
 # The one context of each target family (p, a), shared by its steps.
@@ -342,7 +352,14 @@ def _check_side(nf, out, side, terms, what, retained=False):
     the combination equals the output's coefficients there.  Put into
     the output's series B^(-a)(2-xq)^(-s) K sum_i q^i (...)_i, the
     residual must have every Taylor coefficient reduce to zero modulo
-    the rewrite rules of the output's family."""
+    the rewrite rules of the output's family.  The t^j coefficient is
+    sum_i W_i[j] residual_i with W_i the q-basis weights in Q[x], and
+    reduction over the rational functions of x is linear, so each
+    q-coefficient is reduced once, to remainder_i / multiplier_i.  All
+    remainders zero certify the side.  Otherwise the remainders, brought
+    over their common multiplier, are expanded, and the first nonzero
+    t^j coefficient of that normal-form series is reported: a nonzero
+    Q[x]-multiple of the normal form of the residual's t^j coefficient."""
     target = out.c if side == "cosh" else out.d
     scale = X2M4**nf.r
     residual = _combine([(f * scale, lst) for f, lst in terms]
@@ -352,13 +369,16 @@ def _check_side(nf, out, side, terms, what, retained=False):
             if residual[i]:
                 raise DerivationError(
                     "%s %s coefficient %d mismatch" % (what, side, i))
-    if not any(residual):
-        return
-    total = _expansion_coefficients(out.a, out.s, side, tuple(residual),
-                                    _check_order(nf))
     ctx = _family(out.p, out.a)
-    for j, coeff in enumerate(total):
-        res = ctx.reduce(coeff)
+    reduced = [ctx.reduce(coeff) for coeff in residual]
+    if not any(rem for rem, _ in reduced):
+        return
+    mults = [mult for _, mult in reduced]
+    scaled = tuple(math.prod(mults[:i] + mults[i + 1:], start=rem)
+                   for i, (rem, _) in enumerate(reduced))
+    total = _expansion_coefficients(out.a, out.s, side, scaled,
+                                    _check_order(nf))
+    for j, res in enumerate(total):
         if res:
             raise DerivationError(
                 "%s (%s) falsified: t^%d residual reduces to %r"

@@ -94,7 +94,7 @@ def test_criterion_5_immersed_derivation_grid():
     for a in range(-2, -13, -1):
         bc = base_case(a)
         assert derive_immersed(0, 0, a) == bc
-    assert runs >= 300
+    assert runs == 315
     _report(5, "immersed grid p <= 4, |a| <= 12: %d derivations checked"
             % runs)
 

@@ -20,12 +20,7 @@ from . import emit
 from .elliptic import IdentityError, blowup_functions, verify_elliptic_identities
 from .embedded import DerivationError, derive_embedded, verify_corollary_24
 from .immersed import derive_immersed, finite_type_order
-from .lens import (
-    PosetError,
-    build_poset,
-    character_variety,
-    verify_poset,
-)
+from .lens import PosetError, build_poset, character_variety
 
 DEFAULT_ORDER = 32
 MIN_ORDER = 8
@@ -144,7 +139,6 @@ def _verify_lens(lines):
     lines.append("lens character varieties p<=9: ok")
     for parity in (0, 1):
         j = build_poset(6, parity, 10)
-        verify_poset(j)
         lines.append("lens poset J_10 parity %d: %d vertices, %d edges"
                      % (parity, len(j.vertices), len(j.edges)))
 

@@ -54,7 +54,8 @@ from .rings import (
 X = PolyX.x()
 X2M4 = X * X - 4
 
-# The shallowest t-order a step checks its residual through.
+# The least t-order `universal_coefficients` builds a weight table
+# through, so that the chain relations of low t-powers need no rebuild.
 CHECK_ORDER_MIN = 12
 
 # The q-basis kernel (i, j) of Q^i Q'^j on each side of a normal form.
@@ -91,29 +92,28 @@ def k0_index(a: int, s: int) -> int:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """One (p, s) structure equation pair in q-normal form."""
+    """One (p, s) structure equation pair in q-normal form.  The indices
+    r, k and k0 are functions of (p, s, a), derived on each read."""
 
     p: int
     s: int
     a: int
-    r: int
-    k: int
-    k0: int
     c: tuple  # AlphaPoly per q power, cosh side
     d: tuple  # AlphaPoly per q power, sinh side
+
+    r = property(lambda nf: r_index(nf.p, nf.s))
+    k = property(lambda nf: k_index(nf.a, nf.s))
+    k0 = property(lambda nf: k0_index(nf.a, nf.s))
 
     def __post_init__(self):
         validate_normal_form(self)
 
 
 def validate_normal_form(nf: NormalForm):
-    """Index laws and degree/parity bounds; raises on any violation."""
+    """The s range, the coefficient counts k + 1 and k0 + 1, and the
+    degree/parity bounds of each coefficient; raises on any violation."""
     if not (0 <= nf.s <= nf.p):
         raise DerivationError("s out of range")
-    if nf.r != r_index(nf.p, nf.s):
-        raise DerivationError("r index law violated")
-    if nf.k != k_index(nf.a, nf.s) or nf.k0 != k0_index(nf.a, nf.s):
-        raise DerivationError("k/k0 index law violated")
     if len(nf.c) != max(nf.k + 1, 0) or len(nf.d) != max(nf.k0 + 1, 0):
         raise DerivationError("coefficient list length mismatch")
     for i, ci in enumerate(nf.c):
@@ -182,8 +182,6 @@ def universal_coefficients(a: int, s: int, side: str):
         top, par = k0_index(a, s), 1
     if top < 0:
         return ()
-    # Build at least as deep as every step check reads (_check_order),
-    # so that the check seldom has to rebuild the weight table.
     order = max(CHECK_ORDER_MIN, 2 * top + par + 2)
     weights = [weight_series(a, s, KERNEL[side], i, order)
                for i in range(top + 1)]
@@ -195,12 +193,9 @@ def _make_target(p: int, s: int, a: int) -> NormalForm:
     """The canonical (p, s, a) normal form built from the universal
     coefficients; the (x^2-4)^r factor multiplies both sides of the
     equation and is not folded into the coefficients."""
-    return NormalForm(
-        p=p, s=s, a=a, r=r_index(p, s),
-        k=k_index(a, s), k0=k0_index(a, s),
-        c=universal_coefficients(a, s, "cosh"),
-        d=universal_coefficients(a, s, "sinh"),
-    )
+    return NormalForm(p=p, s=s, a=a,
+                      c=universal_coefficients(a, s, "cosh"),
+                      d=universal_coefficients(a, s, "sinh"))
 
 
 def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
@@ -326,19 +321,12 @@ def base_case(a: int) -> NormalForm:
     # The solve reads t^0..t^n only; the model check through n + 8 costs
     # about half of one through the default 2n + 8.
     rel = derive_embedded(n, 1, n + 8)
-    k, k0 = k_index(a, 0), k0_index(a, 0)
-    c = [AlphaPoly() for _ in range(k + 1)]
-    d = [AlphaPoly() for _ in range(k0 + 1)]
+    c = [AlphaPoly() for _ in range(k_index(a, 0) + 1)]
+    d = [AlphaPoly() for _ in range(k0_index(a, 0) + 1)]
     for p, coeff, (s_exp, _, _) in rel.terms():
         lst = d if p % 2 else c
         lst[s_exp // 2] = lst[s_exp // 2] + AlphaPoly.gen(p) * coeff
-    return NormalForm(
-        p=0, s=0, a=a, r=0, k=k, k0=k0, c=tuple(c), d=tuple(d)
-    )
-
-
-def _check_order(nf: NormalForm) -> int:
-    return max(CHECK_ORDER_MIN, 2 * max(nf.k, nf.k0, 0) + 10)
+    return NormalForm(p=0, s=0, a=a, c=tuple(c), d=tuple(d))
 
 
 def _check_side(nf, out, side, terms, what, retained=False):
@@ -376,8 +364,10 @@ def _check_side(nf, out, side, terms, what, retained=False):
     mults = [mult for _, mult in reduced]
     scaled = tuple(math.prod(mults[:i] + mults[i + 1:], start=rem)
                    for i, (rem, _) in enumerate(reduced))
+    # Each weight W_i starts at 2^(-s) t^(2i + parity), so the first
+    # nonzero remainder i makes t^(2i + parity) nonzero, below this bound.
     total = _expansion_coefficients(out.a, out.s, side, scaled,
-                                    _check_order(nf))
+                                    2 * len(residual))
     for j, res in enumerate(total):
         if res:
             raise DerivationError(
@@ -389,13 +379,7 @@ def step_raise_s(nf: NormalForm) -> NormalForm:
     """(p-1, s, a-4) implies (p, s+1, a): blow up one double point and
     add the untwisted and twisted equations, whose denominators 1-q^2
     and 1-xq+q^2 sum to 2-xq."""
-    p, s, a = nf.p + 1, nf.s + 1, nf.a + 4
-    k, k0 = k_index(a, s), k0_index(a, s)
-    if nf.k != k + 1 or nf.k0 != k0 + 1:
-        raise DerivationError("index bookkeeping failed entering step 1")
-    if r_index(p, s) != nf.r:
-        raise DerivationError("step 1 must preserve r")
-    out = _make_target(p, s, a)
+    out = _make_target(nf.p + 1, nf.s + 1, nf.a + 4)
     # Both sides times 2-xq live over the denominator (2-xq)^s, so the
     # canonical output enters the residual at exponent s, not s+1.  The
     # whole residual sits under the common factor (x^2-4)^r.
@@ -433,8 +417,6 @@ def step_p_odd(nf: NormalForm) -> NormalForm:
     if not qpoly_bezout_check(f, g, phi1, phi2, X2M4):
         raise DerivationError("step 2 resultant identity failed")
     out = _make_target(p, 0, a)
-    if out.r != nf.r + 1:
-        raise DerivationError("step 2 must increment r")
     half = rat(1, 2)
 
     # cosh: phi1 * [1-q^2 weight, c~B] + phi2 * [1-xq+q^2 weight, d~S/2]
@@ -466,8 +448,6 @@ def step_p_even(nf: NormalForm) -> NormalForm:
     if not qpoly_bezout_check(f, g, phi1, phi2, X2M4):
         raise DerivationError("step 3 resultant identity failed")
     out = _make_target(p, 0, a)
-    if out.r != nf.r + 1:
-        raise DerivationError("step 3 must increment r")
     # On each side the twice-untwisted equation carries weight
     # (1-q^2)^2; the twice-twisted one (scaled by 1/4) carries
     # q(1-xq+q^2), whose free term must vanish so the index shift

@@ -14,9 +14,12 @@ exact rational formulas
 
 The minimal energy of a cylinder from m to m' is ((m')^2 - m^2)/(4p)
 when m' > m and picks up an extra (m - m')/2 when m' < m; with this
-normalization the minimal cylinder dimension is 2(m' - m) - s(m)
-identically.  The poset J_n collects the charges whose end dimension
-lands in (0, 2n], with an edge for every minimal-energy jump |dm| = 2.
+normalization the minimal cylinder dimension for m' > m is
+2(m' - m) - s(m) identically, which the tests pin for every p <= 40.
+The poset J_n collects the charges whose end dimension lands in
+(0, 2n], with an edge for every minimal-energy jump |dm| = 2.  An
+edge's energy is the charge difference of its endpoints, so energy sums
+along paths telescope and `verify_poset` checks each edge alone.
 """
 
 from __future__ import annotations
@@ -87,10 +90,6 @@ def minimal_energy(p: int, m: int, m_prime: int):
     energy = rat(m_prime * m_prime - m * m, 4 * p)
     if m_prime < m:
         energy += rat(m - m_prime, 2)
-    if m_prime > m:
-        want = 2 * (m_prime - m) - isotropy(p, m)
-        if dim_cylinder(p, energy, m, m_prime) != want:
-            raise PosetError("minimal cylinder dimension law failed")
     return energy
 
 
@@ -165,7 +164,10 @@ def build_poset(p: int, parity: int, n: int) -> PosetJ:
 
 
 def verify_poset(j: PosetJ):
-    """Check dimension and energy invariants; raises PosetError."""
+    """Check that every vertex has an integral end dimension in (0, 2n]
+    and that every edge joins two vertices with |dm| = 2 and energy the
+    minimal energy, equal to the charge difference; raises PosetError."""
+    vset = set(j.vertices)
     for m, k in j.vertices:
         dim = dim_end(j.p, k, m) + isotropy(j.p, m)
         if dim.denominator != 1:
@@ -173,26 +175,10 @@ def verify_poset(j: PosetJ):
         if not 0 < dim <= 2 * j.n:
             raise PosetError("vertex dimension %s outside (0, 2n]" % dim)
     for (m1, k1), (m2, k2), energy in j.edges:
+        if (m1, k1) not in vset or (m2, k2) not in vset:
+            raise PosetError("edge endpoint is not a vertex")
         if abs(m1 - m2) != 2:
             raise PosetError("edge changes m by %d" % (m2 - m1))
         if energy != minimal_energy(j.p, m1, m2) or energy != k2 - k1:
             raise PosetError("edge energy is not the minimal energy")
-    # Edge energies equal charge differences, so path sums telescope;
-    # confirm path independence over all vertex pairs regardless.
-    adjacency = {}
-    for a, b, energy in j.edges:
-        adjacency.setdefault(a, []).append((b, energy))
-    for start in j.vertices:
-        seen = {start: rat(0)}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, energy in adjacency.get(v, ()):
-                total = seen[v] + energy
-                if w in seen:
-                    if seen[w] != total:
-                        raise PosetError("path-dependent energy to %r" % (w,))
-                else:
-                    seen[w] = total
-                    stack.append(w)
     return True

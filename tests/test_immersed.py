@@ -394,7 +394,8 @@ def reference_check_side(nf, out, side, terms, what, retained=False):
                     "%s %s coefficient %d mismatch" % (what, side, i))
     if not any(residual):
         return
-    total = [AlphaPoly() for _ in range(immersed._check_order(nf))]
+    total = [AlphaPoly()
+             for _ in range(max(12, 2 * max(nf.k, nf.k0, 0) + 10))]
     for i, coeff in enumerate(residual):
         weight = weight_series(out.a, out.s, immersed.KERNEL[side], i,
                                len(total))

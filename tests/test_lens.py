@@ -90,7 +90,7 @@ def test_minimal_energy_examples():
     assert minimal_energy(6, 3, 3) == 0
 
 
-@pytest.mark.parametrize("p", range(1, 13))
+@pytest.mark.parametrize("p", range(1, 41))
 @pytest.mark.parametrize("parity", [0, 1])
 def test_minimal_dimension_law(p, parity):
     chi = [c.m for c in character_variety(p, parity)]
@@ -193,6 +193,24 @@ def test_poset_large_p_matches_dimension_window(p, parity):
     assert list(build_poset(p, parity, 10).vertices) == want
 
 
+@pytest.mark.parametrize("p", range(1, 41))
+@pytest.mark.parametrize("parity", [0, 1])
+def test_poset_invariants_whole_range(p, parity):
+    # Each edge's energy is its charge difference, so energy sums along
+    # paths telescope; verify_poset does not search paths for it.
+    if p % 4 == 0 and parity == 1:
+        with pytest.raises(ValueError):
+            build_poset(p, parity, 0)
+        return
+    for n in range(15):
+        j = build_poset(p, parity, n)
+        vset = set(j.vertices)
+        for (m1, k1), (m2, k2), energy in j.edges:
+            assert (m1, k1) in vset and (m2, k2) in vset
+            assert abs(m2 - m1) == 2
+            assert energy == k2 - k1 == minimal_energy(p, m1, m2)
+
+
 # --------------------------------------------------------------- posets
 
 
@@ -235,6 +253,16 @@ def test_poset_tamper_detection():
     bad = dataclasses.replace(
         j, edges=j.edges[:-1] + (
             (j.edges[-1][0], j.edges[-1][1], j.edges[-1][2] + 1),))
+    with pytest.raises(PosetError):
+        verify_poset(bad)
+
+
+def test_poset_edge_to_a_missing_vertex_is_rejected():
+    import dataclasses
+    j = build_poset(6, 0, 10)
+    target = j.edges[0][1]
+    bad = dataclasses.replace(
+        j, vertices=tuple(v for v in j.vertices if v != target))
     with pytest.raises(PosetError):
         verify_poset(bad)
 

@@ -3,6 +3,7 @@
 Modules:
     rings     -- rationals, polynomials in x, truncated t-series,
                  polynomials in q and in the sphere class alpha
+    record    -- the frozen-record base of the engine's value types
     elliptic  -- the blowup series B, S, Delta, Q, q from Weierstrass data,
                  their checked identities and their q-basis products
     model     -- blowup-model moments and twist-count series

@@ -8,7 +8,8 @@ cosh/sinh(t alpha).  The curve data is
 
     g2 = 4(x^2/3 - 1),      g3 = (8x^3 - 36x)/27,
 
-the Weierstrass p-function is recovered from its Laurent recurrence, and
+the Weierstrass p-function is recovered from its Laurent recurrence, a
+symmetric sum of products computed by rings.sum_of_products, and
 
     S = exp(-t^2 x/6) * sigma(t),
     B = exp(-t^2 x/6) * sigma3(t),   sigma3 = sigma * sqrt(p - e3),
@@ -18,7 +19,6 @@ with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from operator import mul
 
@@ -30,7 +30,9 @@ from .rings import (
     SeriesT,
     factorial,
     rat,
+    sum_of_products,
 )
+from .record import Record
 
 G2 = PolyX((rat(-4), rat(0), rat(4, 3)))
 G3 = PolyX((rat(0), rat(-36, 27), rat(0), rat(8, 27)))
@@ -50,15 +52,11 @@ class IdentityError(AssertionError):
         )
 
 
-@dataclass(frozen=True)
-class BlowupFunctions:
-    B: SeriesT
-    S: SeriesT
-    Delta: SeriesT
-    Q: SeriesT
-    q: SeriesT
-    Qprime: SeriesT
-    order: int
+class BlowupFunctions(Record):
+    """The series B, S, Delta, Q, q, Q' (SeriesT) truncated at `order`;
+    Delta and Q' carry one order less."""
+
+    __slots__ = ("B", "S", "Delta", "Q", "q", "Qprime", "order")
 
     def truncate(self, order: int) -> "BlowupFunctions":
         return BlowupFunctions(
@@ -74,10 +72,12 @@ def _wp_laurent_coeffs(order: int):
     kmax = order // 2 + 2
     c = {2: G2 * rat(1, 20), 3: G3 * rat(1, 28)}
     for k in range(4, kmax + 1):
-        acc = P_ZERO
-        for m in range(2, k - 1):
-            acc = acc + c[m] * c[k - m]
-        c[k] = acc * rat(3, (2 * k + 1) * (k - 3))
+        # c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_(k-m), each
+        # unordered pair of the symmetric sum taken once with weight 6.
+        terms = [(6, c[m], c[k - m]) for m in range(2, (k + 1) // 2)]
+        if k % 2 == 0:
+            terms.append((3, c[k // 2], c[k // 2]))
+        c[k] = sum_of_products(terms, (2 * k + 1) * (k - 3))
     return c
 
 

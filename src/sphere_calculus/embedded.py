@@ -13,7 +13,6 @@ before derive_embedded returns it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .elliptic import blowup_functions, triangular_solve, weight_series
@@ -24,6 +23,7 @@ from .model import (
     smb_insertion_series,
     smb_series,
 )
+from .record import Record
 from .rings import P_ONE, P_ZERO, PolyX, SeriesT, rat
 
 
@@ -31,8 +31,7 @@ class DerivationError(AssertionError):
     """A derived structure equation disagreed with its check."""
 
 
-@dataclass(frozen=True)
-class EmbeddedRelation:
+class EmbeddedRelation(Record):
     """exp(t sigma) modulo the kernel, as basis-monomial data.
 
     Each term is (sigma_power, coeff, (s_exp, b_exp, delta_exp)) and the
@@ -41,11 +40,7 @@ class EmbeddedRelation:
     order is the t-order the relation was model-checked through.
     """
 
-    n: int
-    epsilon: int
-    order: int
-    cosh_terms: tuple
-    sinh_terms: tuple
+    __slots__ = ("n", "epsilon", "order", "cosh_terms", "sinh_terms")
 
     def terms(self):
         return self.cosh_terms + self.sinh_terms

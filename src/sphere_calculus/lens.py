@@ -25,8 +25,8 @@ along paths telescope and `verify_poset` checks each edge alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from .record import Record
 from .rings import rat
 
 
@@ -44,13 +44,13 @@ def isotropy(p: int, m: int) -> int:
     return 3 if is_central(p, m) else 1
 
 
-@dataclass(frozen=True)
-class FlatClass:
-    m: int
-    trivial: bool
-    s: int
+class FlatClass(Record):
+    """The flat class m, whether it is central, and its isotropy
+    summand s."""
 
-    def __post_init__(self):
+    __slots__ = ("m", "trivial", "s")
+
+    def _validate(self):
         if self.s != (3 if self.trivial else 1):
             raise ValueError("isotropy summand inconsistent with centrality")
 
@@ -123,13 +123,11 @@ def admissible_charges(p: int, m: int, cap):
     return out
 
 
-@dataclass(frozen=True)
-class PosetJ:
-    n: int
-    p: int
-    parity: int
-    vertices: tuple  # of (m, k)
-    edges: tuple  # of ((m, k), (m', k'), energy)
+class PosetJ(Record):
+    """The charge poset J_n of L(p, 1) for one parity: vertices (m, k)
+    and edges ((m, k), (m', k'), energy)."""
+
+    __slots__ = ("n", "p", "parity", "vertices", "edges")
 
 
 def build_poset(p: int, parity: int, n: int) -> PosetJ:

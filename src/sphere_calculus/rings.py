@@ -4,7 +4,10 @@ power series in t, and polynomials in q.
 All coefficients are exact rationals.  A polynomial in x stores Python
 ints over one common denominator, so its arithmetic is integer
 arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
-installed, else fractions.Fraction.  Every container here is immutable
+installed, else fractions.Fraction.  Series products and the exp, sqrt
+and inverse recurrences share one kernel, _int_dot (sum_of_products over
+PolyX pairs): each output coefficient is a sum of int convolutions over
+one common denominator, reduced once.  Every container here is immutable
 after construction; all operations return new values.
 """
 
@@ -272,6 +275,38 @@ P_ZERO = _make((), 1)
 P_ONE = _make((1,), 1)
 
 
+def _int_dot(pairs, den: int) -> "PolyX":
+    """The PolyX (sum of a * b) / den over the (a, b) in `pairs`, for int
+    numerator sequences a, b and a positive int den: one int convolution
+    per pair and one _canon for the sum.  Every series convolution runs
+    through it; a lone PolyX product keeps the leaner loop of
+    PolyX.__mul__."""
+    acc = []
+    for a, b in pairs:
+        grow = len(a) + len(b) - 1 - len(acc)
+        if grow > 0:
+            acc.extend([0] * grow)
+        for e, x in enumerate(a):
+            if x:
+                for f, y in enumerate(b, e):
+                    acc[f] += x * y
+    return _canon(acc, den)
+
+
+def sum_of_products(terms, div: int = 1) -> "PolyX":
+    """The PolyX (sum of w * p * q) / div over the (w, p, q) in `terms`,
+    for int weights w, PolyX p, q and a positive int div.  Each product
+    is scaled onto the lcm of the pair denominators p.den * q.den, so
+    the sum is int arithmetic reduced once (see _int_dot)."""
+    terms = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms]
+    den = lcm(*[d for _, _, _, d in terms])
+    pairs = []
+    for w, a, b, d in terms:
+        scale = w * (den // d)
+        pairs.append(([scale * c for c in a] if scale != 1 else a, b))
+    return _int_dot(pairs, den * div)
+
+
 def _lift(polys):
     """The numerators of `polys` over their common denominator, and that
     denominator."""
@@ -381,22 +416,13 @@ class SeriesT:
             nonzero_a = [i for i in range(n) if a[i]]
             out = []
             for k in range(n):
-                acc = []
+                pairs = []
                 for i in nonzero_a:
                     if i > k:
                         break
-                    bj = b[k - i]
-                    if not bj:
-                        continue
-                    ai = a[i]
-                    grow = len(ai) + len(bj) - 1 - len(acc)
-                    if grow > 0:
-                        acc.extend([0] * grow)
-                    for e, x in enumerate(ai):
-                        if x:
-                            for f, y in enumerate(bj, e):
-                                acc[f] += x * y
-                out.append(_canon(acc, da * db))
+                    if b[k - i]:
+                        pairs.append((a[i], b[k - i]))
+                out.append(_int_dot(pairs, da * db))
             return _series(out, n)
         if isinstance(other, _RAT_TYPES) or isinstance(other, PolyX):
             p = _as_polyx(other)
@@ -437,40 +463,45 @@ class SeriesT:
         """Multiplicative inverse; requires an invertible constant term."""
         if self.order == 0 or not self.coeffs[0].is_unit():
             raise ValueError("series not a unit")
-        inv0 = P_ONE / self.coeffs[0]
-        out = [inv0]
+        # g_n = -(f_1 g_(n-1) + ... + f_n g_0) / f_0, f_0 = c / d.
+        f = self.coeffs
+        (c,), d = f[0].num, f[0].den
+        w, div = (-d, c) if c > 0 else (d, -c)
+        nonzero = [i for i in range(1, self.order) if f[i]]
+        out = [P_ONE / f[0]]
         for n in range(1, self.order):
-            acc = P_ZERO
-            for i in range(1, n + 1):
-                if self.coeffs[i]:
-                    acc = acc + self.coeffs[i] * out[n - i]
-            out.append(-acc * inv0)
-        return SeriesT(out, self.order)
+            out.append(sum_of_products(
+                [(w, f[i], out[n - i]) for i in nonzero if i <= n], div))
+        return _series(out, self.order)
 
     def sqrt(self) -> "SeriesT":
         """Principal square root; requires constant term 1."""
         if self.order == 0 or self.coeffs[0] != P_ONE:
             raise ValueError("series sqrt requires constant term 1")
+        # g_n = (f_n - sum_{0<i<n} g_i g_(n-i)) / 2, each unordered pair
+        # of the symmetric sum taken once with weight 2.
         out = [P_ONE]
-        half = rat(1, 2)
         for n in range(1, self.order):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - out[i] * out[n - i]
-            out.append(acc * half)
-        return SeriesT(out, self.order)
+            terms = [(-2, out[i], out[n - i]) for i in range(1, (n + 1) // 2)
+                     if out[i] and out[n - i]]
+            if n % 2 == 0:
+                terms.append((-1, out[n // 2], out[n // 2]))
+            terms.append((1, self.coeffs[n], P_ONE))
+            out.append(sum_of_products(terms, 2))
+        return _series(out, self.order)
 
     def exp(self) -> "SeriesT":
         """exp of a series with zero constant term."""
         if self.order > 0 and self.coeffs[0]:
             raise ValueError("series exp requires zero constant term")
-        # g' = f' g determines g coefficient by coefficient
+        # g' = f' g determines g coefficient by coefficient:
+        # g_n = (1 f_1 g_(n-1) + ... + n f_n g_0) / n.
+        f = self.coeffs
+        nonzero = [i for i in range(1, self.order) if f[i]]
         out = [P_ONE]
         for n in range(1, self.order):
-            acc = P_ZERO
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * i * out[n - i]
-            out.append(acc * rat(1, n))
+            out.append(sum_of_products(
+                [(i, f[i], out[n - i]) for i in nonzero if i <= n], n))
         return SeriesT(out, self.order)
 
     def __repr__(self):
@@ -605,11 +636,6 @@ class AlphaPoly(RingPoly):
         return all(
             not c for i, c in enumerate(self.coeffs) if i % 2 != parity
         )
-
-
-def qpoly_bezout_check(f: QPoly, g: QPoly, phi1: QPoly, phi2: QPoly, C: PolyX) -> bool:
-    """True iff f*phi1 + g*phi2 equals the constant C exactly."""
-    return f * phi1 + g * phi2 == QPoly.const(C)
 
 
 def factorial(n: int):

@@ -1,7 +1,6 @@
 """Embedded-sphere structure equations against printed and model oracles."""
 
 import hashlib
-from dataclasses import replace
 
 import pytest
 
@@ -10,6 +9,7 @@ from sphere_calculus.cli import run
 from sphere_calculus.elliptic import triangular_solve
 from sphere_calculus.embedded import (
     DerivationError,
+    EmbeddedRelation,
     basis_monomials,
     basis_series,
     derive_embedded,
@@ -72,7 +72,8 @@ def test_generality_and_model_verification(n, epsilon):
 def test_model_verification_raises_on_failure():
     rel = derive_embedded(3, 1)
     (p, c, mono), *rest = rel.cosh_terms
-    broken = replace(rel, cosh_terms=((p, c + 1, mono), *rest))
+    broken = EmbeddedRelation(rel.n, rel.epsilon, rel.order,
+                              ((p, c + 1, mono), *rest), rel.sinh_terms)
     with pytest.raises(DerivationError, match="twists=1"):
         verify_embedded_relation(broken)
 

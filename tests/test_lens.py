@@ -6,6 +6,7 @@ from sphere_calculus import lens
 from sphere_calculus.emit import poset_ascii, poset_dot, poset_emit
 from sphere_calculus.lens import (
     PosetError,
+    PosetJ,
     admissible_charges,
     build_poset,
     character_variety,
@@ -248,21 +249,18 @@ def test_poset_verified_on_build():
 
 
 def test_poset_tamper_detection():
-    import dataclasses
     j = build_poset(6, 0, 10)
-    bad = dataclasses.replace(
-        j, edges=j.edges[:-1] + (
-            (j.edges[-1][0], j.edges[-1][1], j.edges[-1][2] + 1),))
+    bad = PosetJ(j.n, j.p, j.parity, j.vertices, j.edges[:-1] + (
+        (j.edges[-1][0], j.edges[-1][1], j.edges[-1][2] + 1),))
     with pytest.raises(PosetError):
         verify_poset(bad)
 
 
 def test_poset_edge_to_a_missing_vertex_is_rejected():
-    import dataclasses
     j = build_poset(6, 0, 10)
     target = j.edges[0][1]
-    bad = dataclasses.replace(
-        j, vertices=tuple(v for v in j.vertices if v != target))
+    bad = PosetJ(j.n, j.p, j.parity,
+                 tuple(v for v in j.vertices if v != target), j.edges)
     with pytest.raises(PosetError):
         verify_poset(bad)
 

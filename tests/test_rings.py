@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sphere_calculus.rings import (
     AlphaPoly,
@@ -13,7 +13,6 @@ from sphere_calculus.rings import (
     SeriesT,
     _power,
     factorial,
-    qpoly_bezout_check,
     rat,
     rat_to_str,
 )
@@ -118,8 +117,8 @@ def test_bezout_check():
     g = QPoly((PolyX.const(1), -x, PolyX.const(1)))
     phi1 = QPoly((x * x - 2, -x))
     phi2 = QPoly((PolyX.const(-2), -x))
-    assert qpoly_bezout_check(f, g, phi1, phi2, x * x - 4)
-    assert not qpoly_bezout_check(f, g, phi1, phi2, x * x - 3)
+    assert f * phi1 + g * phi2 == QPoly.const(x * x - 4)
+    assert f * phi1 + g * phi2 != QPoly.const(x * x - 3)
 
 
 def test_alpha_parity():
@@ -295,3 +294,111 @@ def test_series_product_agrees_with_coefficient_sums(f, g):
     assert got.order == n and list(got.coeffs) == want
     for c in got.coeffs:
         assert_canonical(c)
+
+
+# Per-coefficient PolyX references for the series recurrences, one
+# PolyX product, sum and reduction per term: the kernel that replaces
+# them (rings.sum_of_products) must give the same canonical coefficients.
+
+def ref_inverse(f):
+    inv0 = PolyX.const(1) / f[0]
+    out = [inv0]
+    for n in range(1, f.order):
+        acc = PolyX()
+        for i in range(1, n + 1):
+            acc = acc + f[i] * out[n - i]
+        out.append(-acc * inv0)
+    return out
+
+
+def ref_sqrt(f):
+    out = [PolyX.const(1)]
+    for n in range(1, f.order):
+        acc = f[n]
+        for i in range(1, n):
+            acc = acc - out[i] * out[n - i]
+        out.append(acc * rat(1, 2))
+    return out
+
+
+def ref_exp(f):
+    out = [PolyX.const(1)]
+    for n in range(1, f.order):
+        acc = PolyX()
+        for i in range(1, n + 1):
+            acc = acc + f[i] * i * out[n - i]
+        out.append(acc * rat(1, n))
+    return out
+
+
+def ref_wp_laurent(order):
+    from sphere_calculus.elliptic import G2, G3
+
+    c = {2: G2 * rat(1, 20), 3: G3 * rat(1, 28)}
+    for k in range(4, order // 2 + 3):
+        acc = PolyX()
+        for m in range(2, k - 1):
+            acc = acc + c[m] * c[k - m]
+        c[k] = acc * rat(3, (2 * k + 1) * (k - 3))
+    return c
+
+
+def same_coefficients(got, want):
+    """Equal canonical numerators, denominators and hashes."""
+    assert [(c.num, c.den, hash(c)) for c in got] == [
+        (c.num, c.den, hash(c)) for c in want]
+
+
+tails = st.lists(wide_polys, min_size=0, max_size=9)
+X = PolyX.x()
+EXAMPLE_TAIL = [X / 5, X * X - rat(1, 3), PolyX(), X / 720]
+
+
+@given(wide_rationals.filter(bool).map(PolyX.const), tails)
+@example(PolyX.const(-1), EXAMPLE_TAIL)
+@example(PolyX.const(rat(-3, 7)), EXAMPLE_TAIL)
+@example(PolyX.const(rat(5, 2)), EXAMPLE_TAIL)
+@settings(max_examples=120, deadline=None)
+def test_series_inverse_matches_per_coefficient_reference(c, tail):
+    f = SeriesT([c] + tail, len(tail) + 1)
+    got = f.inverse()
+    assert got.order == f.order
+    same_coefficients(got.coeffs, ref_inverse(f))
+    same_coefficients((f * got).coeffs, SeriesT.one(f.order).coeffs)
+
+
+@given(tails)
+@settings(max_examples=120, deadline=None)
+def test_series_sqrt_matches_per_coefficient_reference(tail):
+    f = SeriesT([PolyX.const(1)] + tail, len(tail) + 1)
+    got = f.sqrt()
+    assert got.order == f.order
+    same_coefficients(got.coeffs, ref_sqrt(f))
+    same_coefficients((got * got).coeffs, f.coeffs)
+
+
+@given(tails)
+@settings(max_examples=120, deadline=None)
+def test_series_exp_matches_per_coefficient_reference(tail):
+    f = SeriesT([PolyX()] + tail, len(tail) + 1)
+    got = f.exp()
+    assert got.order == f.order
+    same_coefficients(got.coeffs, ref_exp(f))
+
+
+def test_wp_series_matches_per_coefficient_reference():
+    from sphere_calculus.elliptic import _wp_laurent_coeffs, wp_series
+
+    want = ref_wp_laurent(48)
+    for order in range(8, 49):
+        got = _wp_laurent_coeffs(order)
+        assert sorted(got) == list(range(2, order // 2 + 3))
+        same_coefficients([got[k] for k in sorted(got)],
+                          [want[k] for k in sorted(got)])
+    for order in (8, 9, 16, 25, 32, 48):
+        u = wp_series(order)
+        expect = [PolyX.const(1)] + [PolyX()] * (order - 1)
+        for k in range(2, order // 2 + 3):
+            if 2 * k < order:
+                expect[2 * k] = want[k]
+        same_coefficients(u.coeffs, expect)

@@ -255,13 +255,13 @@ def triangular_solve(weights, parity: int):
     out = []
     for j, w in enumerate(weights):
         tp = 2 * j + parity
-        acc = AlphaPoly.gen(tp) * (rat(1) / factorial(tp))
-        for i in range(j):
-            acc = acc - out[i] * weights[i][tp]
         diag = w[tp]
         if not diag.is_unit():
             raise ValueError("diagonal %r at t^%d is not a unit" % (diag, tp))
-        out.append(acc * (rat(1) / diag.constant()))
+        inv = rat(1) / diag.constant()
+        out.append(AlphaPoly.combination(
+            [(weights[i][tp] * -inv, out[i]) for i in range(j)]
+            + [(PolyX.const(inv / factorial(tp)), AlphaPoly.gen(tp))]))
     return out
 
 

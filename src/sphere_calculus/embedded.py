@@ -2,13 +2,15 @@
 
 For a sphere of self-intersection -n, each side of parity pi writes
 exp(t sigma) as sum_i c_i(sigma) times the q-basis B^n Q^pi Q'^delta q^i
-of elliptic.weight_series (delta = epsilon xor pi), rendered as the
-S/B/Delta monomials it equals (S = QB, Delta = Q'B^2), in the style of
-the explicit low-n formulas.  The c_i come from one triangular solve
-against cosh or sinh(t sigma), as the immersed coefficients do.  The
-blowup model (sigma = e_1+...+e_n under every admissible twist count,
-with and without the (e_i - e_j) insertion) then checks each relation
-before derive_embedded returns it.
+of elliptic.weight_series (delta = epsilon xor pi).  The c_i come from
+one triangular solve against cosh or sinh(t sigma), as the immersed
+coefficients do, and a relation stores these solved q-coefficient lists,
+the same data as an immersed normal form.  Its terms, the basis written
+as the S/B/Delta monomials it equals (S = QB, Delta = Q'B^2) in the
+style of the explicit low-n formulas, are a rendering of those lists.
+The blowup model (sigma = e_1+...+e_n under every admissible twist
+count, with and without the (e_i - e_j) insertion) then checks each
+relation before derive_embedded returns it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .model import (
     smb_series,
 )
 from .record import Record
-from .rings import P_ONE, P_ZERO, PolyX, SeriesT, rat
+from .rings import (P_ONE, P_ZERO, PolyX, SeriesT, linear_combination, rat,
+                    sum_of_products)
 
 
 class DerivationError(AssertionError):
@@ -32,15 +35,32 @@ class DerivationError(AssertionError):
 
 
 class EmbeddedRelation(Record):
-    """exp(t sigma) modulo the kernel, as basis-monomial data.
+    """exp(t sigma) modulo the kernel: c (cosh side) and d (sinh side)
+    hold the solved AlphaPoly in sigma of each q power, one per basis
+    monomial of the side, as in an immersed normal form.  order is the
+    t-order the relation was model-checked through.
 
-    Each term is (sigma_power, coeff, (s_exp, b_exp, delta_exp)) and the
-    relation reads  exp(t sigma) == sum coeff * sigma^p * S^s B^b Delta^d.
-    cosh_terms carry the even sigma powers, sinh_terms the odd ones.
-    order is the t-order the relation was model-checked through.
+    The terms are a view of c and d: each is (sigma_power, coeff,
+    (s_exp, b_exp, delta_exp)) and the relation reads
+    exp(t sigma) == sum coeff * sigma^p * S^s B^b Delta^d, by sigma
+    power and then by basis monomial.  cosh_terms carry the even sigma
+    powers, sinh_terms the odd ones.
     """
 
-    __slots__ = ("n", "epsilon", "order", "cosh_terms", "sinh_terms")
+    __slots__ = ("n", "epsilon", "order", "c", "d")
+
+    def _validate(self):
+        for parity, coeffs in ((0, self.c), (1, self.d)):
+            if len(coeffs) != len(sigma_powers(self.n, self.epsilon, parity)):
+                raise DerivationError("coefficient list length mismatch")
+
+    def _side_terms(self, parity: int, coeffs):
+        monos = basis_monomials(self.n, self.epsilon, parity)
+        return tuple((p, c[p], mono) for p, _, _ in monos
+                     for c, mono in zip(coeffs, monos) if c[p])
+
+    cosh_terms = property(lambda rel: rel._side_terms(0, rel.c))
+    sinh_terms = property(lambda rel: rel._side_terms(1, rel.d))
 
     def terms(self):
         return self.cosh_terms + self.sinh_terms
@@ -79,33 +99,36 @@ def derive_embedded(n: int, epsilon: int, order: int = None) -> EmbeddedRelation
 
     On the side of parity pi, one triangular solve matches cosh or
     sinh(t sigma) against the side's q-basis at the t-powers of parity
-    pi; the sigma^p coefficient of the i-th solved c_i(sigma) is the
-    coefficient of sigma^p times the i-th basis monomial."""
+    pi, and the relation stores the solved c_i.  The solve reads the
+    t-powers up to the top sigma power, so `order` must exceed it, else
+    ValueError."""
     if n < 1:
         raise ValueError("n must be positive")
     epsilon &= 1
     if order is None:
         order = 2 * n + 8
-    terms = {}
-    for parity in (0, 1):
-        basis = basis_series(n, epsilon, parity, order)
-        coeffs = triangular_solve([f for _, f in basis], parity)
-        terms[parity] = tuple(
-            (p, c[p], mono) for p in sigma_powers(n, epsilon, parity)
-            for (mono, _), c in zip(basis, coeffs) if c[p])
-    rel = EmbeddedRelation(n=n, epsilon=epsilon, order=order,
-                           cosh_terms=terms[0], sinh_terms=terms[1])
+    top = n - (n - epsilon) % 2
+    if order <= top:
+        raise ValueError("order must exceed the top sigma power %d" % top)
+    c, d = (tuple(triangular_solve(
+        [f for _, f in basis_series(n, epsilon, parity, order)], parity))
+        for parity in (0, 1))
+    rel = EmbeddedRelation(n=n, epsilon=epsilon, order=order, c=c, d=d)
     verify_embedded_relation(rel)
     return rel
 
 
-def relation_coefficient_series(rel: EmbeddedRelation, order: int):
-    """The C_p(t, x) series of the relation, rebuilt from its terms."""
-    out = {}
-    for p, c, (s, _, d) in rel.terms():
-        w = weight_series(-rel.n, 0, (p % 2, d), s // 2, order)
-        out[p] = out.get(p, SeriesT.zero(order)) + w * c
-    return out
+def _evaluate(rel: EmbeddedRelation, value, order: int) -> SeriesT:
+    """The relation's right-hand side through `order` with every sigma^p
+    evaluated to the PolyX value(p): the sum over both sides of
+    (sum_p c_i[p] value(p)) times the i-th basis series."""
+    n, eps = rel.n, rel.epsilon
+    pairs = [(c.coeffs, f) for parity, cs in ((0, rel.c), (1, rel.d))
+             for c, (_, f) in zip(cs, basis_series(n, eps, parity, order))]
+    values = [value(p) for p in range(max(len(c) for c, _ in pairs))]
+    return SeriesT(linear_combination(
+        [(sum_of_products([(1, cp, v) for cp, v in zip(c, values)]),
+          f.coeffs) for c, f in pairs], order), order)
 
 
 def verify_embedded_relation(rel: EmbeddedRelation):
@@ -117,15 +140,10 @@ def verify_embedded_relation(rel: EmbeddedRelation):
     names of the checks made, in order.
     """
     n, eps, order = rel.n, rel.epsilon, rel.order
-    cps = relation_coefficient_series(rel, order)
     checks = []
 
     def check(name, lhs, value, m):
-        rhs = SeriesT.zero(order)
-        for p, series in cps.items():
-            v = value(n, m, p, order)
-            if v:
-                rhs = rhs + series * v
+        rhs = _evaluate(rel, lambda p: value(n, m, p, order), order)
         k = (lhs - rhs).valuation()
         if k >= 0:
             raise DerivationError(
@@ -147,11 +165,7 @@ def specialize_two_e(rel: EmbeddedRelation, twisted: bool, order: int):
     Every sigma^p becomes 2^p times the p-th B- or S-moment; the result
     should match B(2t) (untwisted e) or S(2t) (twisted e)."""
     kind = "S" if twisted else "B"
-    cps = relation_coefficient_series(rel, order)
-    total = SeriesT.zero(order)
-    for p, series in cps.items():
-        total = total + series * (rat(2) ** p * moments(kind, p))
-    return total
+    return _evaluate(rel, lambda p: rat(2) ** p * moments(kind, p), order)
 
 
 _COR24 = {

@@ -67,7 +67,7 @@ _LATEX = SimpleNamespace(
     sigma=r"\sigma", Delta=r"\Delta",
     embedded_coeff=r"\left(%s\right)",
     embedded=r"e^{t\sigma} \equiv %(body)s" + "\n",
-    den="(2-xq)^{%d}".__mod__, frac=r"\frac{%s}{%s}",
+    den=lambda s: _power(_LATEX, "(2-xq)", s), frac=r"\frac{%s}{%s}",
     nf_term=r"\left(%s\right)%s %s",
     nf_rhs=r"D_w\!\left(%s\left(%s\right)\right)",
     nf_line=r"D_w\!\left(%s \%s(t\alpha)\right) = %s",

@@ -46,6 +46,7 @@ from .rings import (
     PolyX,
     QPoly,
     factorial,
+    linear_combination,
     rat,
 )
 from .record import Record
@@ -130,16 +131,17 @@ def shift_reduce(poly: AlphaPoly, mode: str) -> AlphaPoly:
     """
     if mode not in ("B", "S"):
         raise ValueError("mode must be 'B' or 'S'")
-    moms = [moments(mode, j) for j in range(len(poly.coeffs))]
-    out = [P_ZERO] * max(len(poly.coeffs), 1)
-    for p, gamma in enumerate(poly.coeffs):
-        if not gamma:
-            continue
-        for j in range(p + 1):
-            if moms[j]:
-                w = gamma * moms[j] * (math.comb(p, j) << j)
-                out[p - j] = out[p - j] + w
-    return AlphaPoly(out)
+    return AlphaPoly._of(linear_combination(
+        [(gamma, _shifted_power(mode, p))
+         for p, gamma in enumerate(poly.coeffs)], len(poly.coeffs)))
+
+
+@lru_cache(maxsize=None)
+def _shifted_power(mode: str, p: int) -> tuple:
+    """The alpha coefficients of alpha^p after shift_reduce: C(p, k)
+    2^(p-k) times the (p-k)-th moment at alpha^k."""
+    return tuple([moments(mode, p - k) * (math.comb(p, k) << (p - k))
+                  for k in range(p + 1)])
 
 
 def _sr(coeffs, mode, scale=None):
@@ -154,14 +156,10 @@ def _combine(terms):
     as a list of AlphaPoly q-coefficients."""
     size = max((len(f.coeffs) + len(lst) - 1 for f, lst in terms if lst),
                default=0)
-    out = [AlphaPoly() for _ in range(size)]
-    for f, lst in terms:
-        for i, fi in enumerate(f.coeffs):
-            if not fi:
-                continue
-            for j, cj in enumerate(lst):
-                out[i + j] = out[i + j] + cj * fi
-    return out
+    return [AlphaPoly.combination(
+        [(fi, lst[k - i]) for f, lst in terms
+         for i, fi in enumerate(f.coeffs) if 0 <= k - i < len(lst)])
+        for k in range(size)]
 
 
 @lru_cache(maxsize=None)
@@ -199,12 +197,10 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
     """The t^tpow Taylor coefficient, times tpow!, of the q-normal-form
     series B^(-a) (2-xq)^(-s) sum_i q^i K c_i(alpha) with K = Q' on the
     cosh side and K = Q on the sinh side.  Alpha stays symbolic."""
-    out = AlphaPoly()
-    for i, ci in enumerate(nf.c if side == "cosh" else nf.d):
-        w = weight_series(nf.a, nf.s, KERNEL[side], i, tpow + 1)[tpow]
-        if ci and w:
-            out = out + ci * w
-    return out * factorial(tpow)
+    return AlphaPoly.combination(
+        [(weight_series(nf.a, nf.s, KERNEL[side], i, tpow + 1)[tpow], ci)
+         for i, ci in enumerate(nf.c if side == "cosh" else nf.d)]
+    ) * factorial(tpow)
 
 
 # Reached only for a step whose reduced residual is nonzero.  Hardly any
@@ -214,15 +210,10 @@ def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
 def _expansion_coefficients(a, s, side, coeffs, order):
     """Plain Taylor coefficients (per power of t, alpha symbolic) of
     B^(-a)(2-xq)^(-s) K sum_i q^i coeffs[i]."""
-    out = [AlphaPoly() for _ in range(order)]
-    for i, ci in enumerate(coeffs):
-        if ci:
-            weight = weight_series(a, s, KERNEL[side], i, order)
-            for j in range(order):
-                wj = weight[j]
-                if wj:
-                    out[j] = out[j] + ci * wj
-    return tuple(out)
+    weights = [(weight_series(a, s, KERNEL[side], i, order), ci)
+               for i, ci in enumerate(coeffs) if ci]
+    return tuple(AlphaPoly.combination([(w[j], ci) for w, ci in weights])
+                 for j in range(order))
 
 
 # Each family loads each relation once, so this memo never hits, but the
@@ -284,7 +275,7 @@ class ReductionContext:
             if piv is None:
                 self.pivots[d] = rel
                 return
-            rel = rel * piv[d] - piv * rel[d]
+            rel = AlphaPoly.combination([(piv[d], rel), (-rel[d], piv)])
 
     def reduce(self, poly: AlphaPoly):
         """(remainder, multiplier), the remainder free of pivot degrees
@@ -301,7 +292,8 @@ class ReductionContext:
                 piv = self.pivots.get(d)
                 if piv is not None and poly[d]:
                     mult = mult * piv[d]
-                    poly = poly * piv[d] - piv * poly[d]
+                    poly = AlphaPoly.combination(
+                        [(piv[d], poly), (-poly[d], piv)])
         return poly, mult
 
 
@@ -310,20 +302,17 @@ _family = lru_cache(maxsize=None)(ReductionContext)
 
 
 def base_case(a: int) -> NormalForm:
-    """The embedded structure equation as a q-normal form, p = s = 0:
-    S^s B^b Delta^d is the q-basis term B^n K q^(s//2) of its side."""
+    """The embedded structure equation of square a = -n (epsilon = 1) as
+    a q-normal form, p = s = 0.  The i-th basis term of each side is the
+    q-basis term B^n K q^i, so the relation's solved q-coefficient lists
+    c and d are the normal form's."""
     if a > -2:
         raise ValueError("no embedded base case")
     n = -a
     # The solve reads t^0..t^n only; the model check through n + 8 costs
     # about half of one through the default 2n + 8.
     rel = derive_embedded(n, 1, n + 8)
-    c = [AlphaPoly() for _ in range(k_index(a, 0) + 1)]
-    d = [AlphaPoly() for _ in range(k0_index(a, 0) + 1)]
-    for p, coeff, (s_exp, _, _) in rel.terms():
-        lst = d if p % 2 else c
-        lst[s_exp // 2] = lst[s_exp // 2] + AlphaPoly.gen(p) * coeff
-    return NormalForm(p=0, s=0, a=a, c=tuple(c), d=tuple(d))
+    return NormalForm(p=0, s=0, a=a, c=rel.c, d=rel.d)
 
 
 def _check_side(nf, out, side, terms, what, retained=False):

@@ -7,8 +7,11 @@ arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
 installed, else fractions.Fraction.  Series products and the exp, sqrt
 and inverse recurrences share one kernel, _int_dot (sum_of_products over
 PolyX pairs): each output coefficient is a sum of int convolutions over
-one common denominator, reduced once.  Every container here is immutable
-after construction; all operations return new values.
+one common denominator, reduced once.  linear_combination, on top of it,
+is the one path for every other summed product: the polynomial product
+of RingPoly, RingPoly.combination and the engine's exact linear
+combinations of sequences.  Every container here is immutable after
+construction; all operations return new values.
 """
 
 from __future__ import annotations
@@ -307,6 +310,16 @@ def sum_of_products(terms, div: int = 1) -> "PolyX":
     return _int_dot(pairs, den * div)
 
 
+def linear_combination(terms, size: int) -> list:
+    """[sum of w * f[k] over the (w, f) in `terms`] for k < size, with
+    PolyX weights w and sequences f of PolyX (zero past their end): each
+    entry is one sum_of_products, reduced once."""
+    terms = [(w, f) for w, f in terms if w]
+    return [sum_of_products([(1, w, f[k]) for w, f in terms
+                             if k < len(f) and f[k]])
+            for k in range(size)]
+
+
 def _lift(polys):
     """The numerators of `polys` over their common denominator, and that
     denominator."""
@@ -531,6 +544,14 @@ class RingPoly:
         return p
 
     @classmethod
+    def combination(cls, terms):
+        """The sum of w * f over the (w, f) in `terms`, for PolyX weights
+        w and polynomials f of this ring (see linear_combination)."""
+        terms = [(w, f.coeffs) for w, f in terms]
+        return cls._of(linear_combination(
+            terms, max([len(f) for _, f in terms], default=0)))
+
+    @classmethod
     def gen(cls, power: int = 1):
         return cls((P_ZERO,) * power + (P_ONE,))
 
@@ -598,16 +619,9 @@ class RingPoly:
         if other is None:
             return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return self._of(())
-        out = [P_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return self._of(out)
+        return self._of(linear_combination(
+            [(ai, (P_ZERO,) * i + b) for i, ai in enumerate(a)],
+            len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 

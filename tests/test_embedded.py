@@ -19,7 +19,7 @@ from sphere_calculus.embedded import (
     verify_embedded_relation,
 )
 from sphere_calculus.immersed import derive_immersed
-from sphere_calculus.rings import PolyX, rat
+from sphere_calculus.rings import AlphaPoly, PolyX, rat
 
 
 def test_printed_low_n_table():
@@ -71,11 +71,34 @@ def test_generality_and_model_verification(n, epsilon):
 
 def test_model_verification_raises_on_failure():
     rel = derive_embedded(3, 1)
-    (p, c, mono), *rest = rel.cosh_terms
+    c0, *rest = rel.c
     broken = EmbeddedRelation(rel.n, rel.epsilon, rel.order,
-                              ((p, c + 1, mono), *rest), rel.sinh_terms)
+                              (c0 + 1, *rest), rel.d)
     with pytest.raises(DerivationError, match="twists=1"):
         verify_embedded_relation(broken)
+
+
+def test_order_must_exceed_the_top_sigma_power():
+    with pytest.raises(ValueError, match="top sigma power 4"):
+        derive_embedded(5, 0, 3)
+    for n in range(1, 15):
+        for epsilon in (0, 1):
+            top = max(sigma_powers(n, epsilon, 0) + sigma_powers(n, epsilon, 1))
+            for order in range(-1, top + 1):
+                with pytest.raises(ValueError, match="top sigma power"):
+                    derive_embedded(n, epsilon, order)
+            # the least order that derived before the check still does
+            assert derive_embedded(n, epsilon, top + 1).order == top + 1
+
+
+def test_relation_rejects_coefficient_lists_unlike_its_basis():
+    rel = derive_embedded(3, 1)
+    assert (len(rel.c), len(rel.d)) == (1, 2)
+    extra = (AlphaPoly(),)
+    for c, d in ((rel.c[:-1], rel.d), (rel.c + extra, rel.d),
+                 (rel.c, rel.d[:-1]), (rel.c, rel.d + extra)):
+        with pytest.raises(DerivationError, match="length mismatch"):
+            EmbeddedRelation(rel.n, rel.epsilon, rel.order, c, d)
 
 
 @pytest.mark.parametrize("n", range(2, 11))

@@ -1,5 +1,6 @@
 """The inductive machine for immersed-sphere structure equations."""
 
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from sphere_calculus.immersed import (
     universal_coefficients,
     validate_normal_form,
 )
+from sphere_calculus.model import moments
 from sphere_calculus.rings import AlphaPoly, PolyX, QPoly, rat
 
 X = PolyX.x()
@@ -370,6 +372,79 @@ def test_reduce_is_a_full_fraction_free_reduction(poly, family):
     assert not any(rem[d] for d in ctx.pivots)
     assert mult
     assert not ctx.reduce(poly * mult - rem)[0]
+
+
+# ----------------------------------------- per-term references
+
+# The exact linear combinations of the immersed layer as they were summed
+# before rings.linear_combination: one PolyX product, sum and reduction
+# per term.  The engine must give the same canonical coefficients.
+
+def ref_shift_reduce(poly, mode):
+    moms = [moments(mode, j) for j in range(len(poly.coeffs))]
+    out = [PolyX()] * max(len(poly.coeffs), 1)
+    for p, gamma in enumerate(poly.coeffs):
+        if not gamma:
+            continue
+        for j in range(p + 1):
+            if moms[j]:
+                w = gamma * moms[j] * (math.comb(p, j) << j)
+                out[p - j] = out[p - j] + w
+    return AlphaPoly(out)
+
+
+def ref_combine(terms):
+    size = max((len(f.coeffs) + len(lst) - 1 for f, lst in terms if lst),
+               default=0)
+    out = [AlphaPoly() for _ in range(size)]
+    for f, lst in terms:
+        for i, fi in enumerate(f.coeffs):
+            if not fi:
+                continue
+            for j, cj in enumerate(lst):
+                out[i + j] = out[i + j] + cj * fi
+    return out
+
+
+def canonical(poly):
+    return [(c.num, c.den) for c in poly.coeffs]
+
+
+wide_polyx = st.lists(st.builds(rat, st.integers(-10**4, 10**4),
+                                st.integers(1, 360)), max_size=4).map(PolyX)
+wide_alpha = st.lists(wide_polyx, max_size=8).map(AlphaPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(poly=wide_alpha, mode=st.sampled_from(["B", "S"]))
+def test_shift_reduce_matches_per_term_reference(poly, mode):
+    assert canonical(shift_reduce(poly, mode)) == canonical(
+        ref_shift_reduce(poly, mode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.lists(st.tuples(st.lists(wide_polyx, max_size=4).map(QPoly),
+                                st.lists(wide_alpha, max_size=4)),
+                      max_size=3))
+def test_combine_matches_per_term_reference(terms):
+    got, want = immersed._combine(terms), ref_combine(terms)
+    assert [canonical(c) for c in got] == [canonical(c) for c in want]
+
+
+@settings(max_examples=60, deadline=None)
+@given(low=st.lists(wide_polyx, max_size=5), lead=wide_polyx.filter(bool),
+       f=st.lists(wide_polyx, min_size=6, max_size=9).map(AlphaPoly))
+def test_reduction_cross_step_matches_per_term_reference(low, lead, f):
+    # A context whose one pivot has top degree d makes at most one cross
+    # step, f * lead - piv * f[d]; it has nothing left to load.
+    d = len(low)
+    piv = AlphaPoly(low + [lead])
+    ctx = immersed.ReductionContext(0, -2)
+    ctx.pivots, ctx.loaded = {d: piv}, f.degree
+    rem, mult = ctx.reduce(f)
+    want, want_mult = (f * lead - piv * f[d], lead) if f[d] else (f, 1)
+    assert not rem[d] and mult == want_mult
+    assert canonical(rem) == canonical(want)
 
 
 # ------------------------------------------------ verdict equivalence

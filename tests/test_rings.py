@@ -13,6 +13,7 @@ from sphere_calculus.rings import (
     SeriesT,
     _power,
     factorial,
+    linear_combination,
     rat,
     rat_to_str,
 )
@@ -402,3 +403,68 @@ def test_wp_series_matches_per_coefficient_reference():
             if 2 * k < order:
                 expect[2 * k] = want[k]
         same_coefficients(u.coeffs, expect)
+
+
+# Per-term references for the sequence kernel, one PolyX product, sum
+# and reduction per term, as the loops rings.linear_combination replaced.
+
+def ref_linear_combination(terms, size):
+    out = [PolyX()] * size
+    for w, f in terms:
+        for k in range(min(size, len(f))):
+            out[k] = out[k] + w * f[k]
+    return out
+
+
+def ref_ring_product(a, b):
+    """The polynomial product as RingPoly.__mul__ summed it term by term."""
+    a, b = a.coeffs, b.coeffs
+    out = [PolyX()] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        for j, bj in enumerate(b):
+            if bj:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def canonical_pairs(polys):
+    for p in polys:
+        assert_canonical(p)
+    return [(p.num, p.den) for p in polys]
+
+
+sequences = st.lists(wide_polys, max_size=6)
+
+
+@given(st.lists(st.tuples(wide_polys, sequences), max_size=5),
+       st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_linear_combination_matches_per_term_reference(terms, size):
+    got = linear_combination(terms, size)
+    assert canonical_pairs(got) == canonical_pairs(
+        ref_linear_combination(terms, size))
+
+
+@given(sequences, sequences, st.sampled_from([AlphaPoly, QPoly]))
+@settings(max_examples=60, deadline=None)
+def test_ring_product_matches_per_term_reference(a, b, ring):
+    f, g = ring(a), ring(b)
+    got = f * g
+    assert type(got) is ring
+    assert canonical_pairs(got.coeffs) == canonical_pairs(
+        ring(ref_ring_product(f, g)).coeffs)
+
+
+@given(st.lists(st.tuples(wide_polys, sequences), max_size=5),
+       st.sampled_from([AlphaPoly, QPoly]))
+@settings(max_examples=60, deadline=None)
+def test_ring_combination_matches_per_term_reference(terms, ring):
+    polys = [(w, ring(f)) for w, f in terms]
+    want = ring()
+    for w, f in polys:
+        want = want + f * w
+    got = ring.combination(polys)
+    assert type(got) is ring and got == want
+    assert canonical_pairs(got.coeffs) == canonical_pairs(want.coeffs)

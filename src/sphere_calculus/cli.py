@@ -7,6 +7,8 @@ series truncation order (minimum 8), is taken by `series` and by
 `verify --suite elliptic|all`; anywhere else it exits 2.  The default
 order comes from the SPHERE_CALCULUS_ORDER environment variable
 (minimum 8, default 32).  `lens poset` needs `--n` >= 0.
+`--version` prints the package version, the arithmetic backend and the
+Python version on one line and exits 0.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import os
 import sys
 from functools import partial
 
-from . import emit
+from . import __version__, emit
 from .elliptic import IdentityError, blowup_functions, verify_elliptic_identities
 from .embedded import DerivationError, derive_embedded, verify_corollary_24
 from .immersed import derive_immersed, finite_type_order
 from .lens import PosetError, build_poset, character_variety
+from .rings import rat
 
 DEFAULT_ORDER = 32
 MIN_ORDER = 8
@@ -47,12 +50,36 @@ def _parity(text: str) -> int:
     raise argparse.ArgumentTypeError("parity must be even or odd")
 
 
+def version_line() -> str:
+    """The package version, the arithmetic backend (the type of the
+    engine's rationals) and the Python version, on one line."""
+    backend = type(rat(0))
+    return "sphere-calculus %s (arithmetic %s.%s, Python %d.%d.%d)" % (
+        (__version__, backend.__module__, backend.__qualname__)
+        + tuple(sys.version_info[:3]))
+
+
+class _Version(argparse.Action):
+    """--version: print version_line() and exit 0, before any other
+    argument is checked."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(version_line())
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sphere-calculus",
         description="Exact blowup-calculus engine: power series, "
         "structure equations, and lens-space charge posets.",
     )
+    parser.add_argument("--version", action=_Version,
+                        help="print the version, the arithmetic backend "
+                        "and the Python version, and exit")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", default=None,
                         help="write the document to this path")

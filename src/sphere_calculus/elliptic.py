@@ -14,13 +14,14 @@ symmetric sum of products computed by rings.sum_of_products, and
     S = exp(-t^2 x/6) * sigma(t),
     B = exp(-t^2 x/6) * sigma3(t),   sigma3 = sigma * sqrt(p - e3),
 
-with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.
+with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Each series is
+kept at the deepest order asked for so far; a deeper order extends it in
+place, so each coefficient is computed and checked once per process.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial, reduce
-from operator import mul
+from functools import lru_cache, partial
 
 from .rings import (
     P_ONE,
@@ -67,11 +68,11 @@ class BlowupFunctions(Record):
         )
 
 
-def _wp_laurent_coeffs(order: int):
-    """Coefficients c_k of p(z) = 1/z^2 + sum_{k>=2} c_k z^{2k-2}."""
-    kmax = order // 2 + 2
-    c = {2: G2 * rat(1, 20), 3: G3 * rat(1, 28)}
-    for k in range(4, kmax + 1):
+def _wp_laurent_coeffs(order: int, known=None):
+    """Coefficients c_k of p(z) = 1/z^2 + sum_{k>=2} c_k z^{2k-2} for
+    k <= order // 2 + 2, continuing the dict `known` of lower ones."""
+    c = dict(known) if known else {2: G2 * rat(1, 20), 3: G3 * rat(1, 28)}
+    for k in range(max(c) + 1, order // 2 + 3):
         # c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_(k-m), each
         # unordered pair of the symmetric sum taken once with weight 6.
         terms = [(6, c[m], c[k - m]) for m in range(2, (k + 1) // 2)]
@@ -81,40 +82,53 @@ def _wp_laurent_coeffs(order: int):
     return c
 
 
-def wp_series(order: int) -> SeriesT:
-    """z^2 * p(z) as a series, verified against the Weierstrass ODE."""
+def _extend(known, order: int, coeff) -> SeriesT:
+    """The series through t^(order-1) whose coefficients below
+    known.order are those of `known` (None: no coefficient known) and
+    whose t^k coefficient above is coeff(k)."""
+    head = () if known is None else known.coeffs
+    return SeriesT(head + tuple([coeff(k) for k in range(len(head), order)]),
+                   order)
+
+
+def wp_series(order: int, work=None) -> SeriesT:
+    """z^2 * p(z) as a series, verified against the Weierstrass ODE.
+
+    `work`, a dict, keeps the Laurent coefficients and the products the
+    check multiplies out; a deeper call with the same dict continues
+    them, and checks only the coefficients no earlier call checked."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    c = _wp_laurent_coeffs(order)
-    coeffs = [P_ZERO] * order
-    coeffs[0] = P_ONE
-    for k, ck in c.items():
-        if 2 * k < order:
-            coeffs[2 * k] = ck
-    u = SeriesT(coeffs, order)
-    _check_wp_ode(u, order)
-    return u
-
-
-def _check_wp_ode(u: SeriesT, order: int):
+    work = {} if work is None else work
+    old = work.get
+    c = _wp_laurent_coeffs(order, old("c"))
+    # u = 1 + sum_{k>=2} c_k z^(2k)
+    u = _extend(old("u"), order, lambda k: P_ONE if k == 0 else
+                P_ZERO if k % 2 else c.get(k // 2, P_ZERO))
     # With u = z^2 p, the ODE (p')^2 = 4p^3 - g2 p - g3 times z^6 reads
-    # (z u' - 2u)^2 = 4u^3 - g2 u z^4 - g3 z^6.
-    zu_prime = u.derivative().shift(1).truncate(order - 1)
-    lhs = (zu_prime - 2 * u.truncate(order - 1)) ** 2
-    rhs = 4 * u**3 - (u * G2).shift(4) - SeriesT.one(order).shift(6) * G3
-    _require_zero(lhs - rhs, "weierstrass-ode")
-
-
-def _require_zero(residual: SeriesT, name: str):
-    for k, coeff in enumerate(residual.coeffs):
-        if coeff:
-            raise IdentityError(name, k, coeff)
+    # v^2 = 4u^3 - g2 u z^4 - g3 z^6 with v = z u' - 2u.
+    v = _extend(old("v"), order - 1, lambda k: u[k] * (k - 2))
+    v2 = v.mul(v, old("v2"))
+    u2 = u.mul(u, old("u2"))
+    u3 = u2.mul(u, old("u3"))
+    start = old("v2").order if "v2" in work else 0
+    for k in range(start, v2.order):
+        rhs = 4 * u3[k]
+        if k >= 4:
+            rhs = rhs - G2 * u[k - 4]
+        if k == 6:
+            rhs = rhs - G3
+        if v2[k] != rhs:
+            raise IdentityError("weierstrass-ode", k, v2[k] - rhs)
+    work.update(c=c, u=u, v=v, v2=v2, u2=u2, u3=u3)
+    return u
 
 
 @lru_cache(maxsize=None)
 def blowup_functions(order: int) -> BlowupFunctions:
-    """B, S, Delta, Q, q, Q' at the given truncation order, served by
-    truncation from the deepest build so far (see SeriesTable)."""
+    """B, S, Delta, Q, q, Q' at the given truncation order.  One build
+    extends in place to the deepest order asked for so far and serves a
+    shallower one by truncation (see SeriesTable)."""
     if order < 8:
         raise ValueError("order must be at least 8")
     return _blowup_table().term(0, order)
@@ -122,91 +136,118 @@ def blowup_functions(order: int) -> BlowupFunctions:
 
 @lru_cache(maxsize=None)
 def _blowup_table():
-    return SeriesTable(lambda order: ((build_blowup_functions(order),), None))
+    work = {}
+    return SeriesTable(
+        lambda order, known: ((build_blowup_functions(order, work),), None))
 
 
-def build_blowup_functions(order: int) -> BlowupFunctions:
+def build_blowup_functions(order: int, work=None) -> BlowupFunctions:
     """Construct B, S, Delta, Q, q, Q' at the given truncation order and
-    check their normalization."""
+    check their normalization.
+
+    `work`, a dict, keeps every intermediate series of the build: a call
+    with the same dict at a deeper order extends each of them from its
+    known coefficients, and checks only the new ones.  A check that
+    fails leaves the series it checks as they were."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    # Work a little deeper internally so that derivatives and the two
-    # formal integrations still deliver full precision at `order`.
-    work = order + 4
-    u = wp_series(work)
+    work = {} if work is None else work
+    # p is built and checked a little deeper than the t^(order-1) its
+    # integrals need.
+    u = wp_series(order + 4, work)
+    old = work.get
 
-    # p - 1/z^2 is an honest power series; integrate twice:
-    # zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
-    p_reg = SeriesT(u.coeffs[2:], work - 2)  # p - 1/z^2, coefficient of z^k
-    log_sigma_over_z = -p_reg.integral().integral()
-    sigma_over_z = log_sigma_over_z.exp().truncate(work)
+    # p - 1/z^2 = sum u_(k+2) z^k is an honest power series; integrate
+    # twice: zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
+    log_sigma_over_z = _extend(
+        old("log_sigma_over_z"), order,
+        lambda k: u[k] * rat(-1, k * (k - 1)) if k > 1 else P_ZERO)
+    sigma_over_z = log_sigma_over_z.exp(old("sigma_over_z"))
 
     # z^2 (p - e3) has constant term 1; principal square root.
-    shifted = u - SeriesT.one(work).shift(2).truncate(work) * E3
-    sqrt_part = shifted.sqrt()
+    shifted = _extend(old("shifted"), order,
+                      lambda k: u[k] - E3 if k == 2 else u[k])
+    sqrt_part = shifted.sqrt(old("sqrt_part"))
 
-    gauss = SeriesT((P_ZERO, P_ZERO, -PolyX.x() * rat(1, 6)), work).exp()
+    gauss = SeriesT((P_ZERO, P_ZERO, -PolyX.x() * rat(1, 6)),
+                    order).exp(old("gauss"))
 
-    s_over_t = gauss * sigma_over_z
-    B = (gauss * sigma_over_z * sqrt_part).truncate(order)
+    s_over_t = gauss.mul(sigma_over_z, old("s_over_t"))
+    B = s_over_t.mul(sqrt_part, old("B"))
     S = s_over_t.shift(1).truncate(order)
 
-    Sp = S.derivative()
-    Bp = B.derivative()
-    Delta = (Sp * B - S * Bp).truncate(order - 1)
-    Q = sqrt_part.inverse().shift(1).truncate(order)
-    q = (Q * Q).truncate(order)
-    Qprime = Q.derivative()
+    # Delta = S'B - SB' = sum over a + b = k + 1 of (a - b) S_a B_b at t^k.
+    Delta = _extend(old("Delta"), order - 1, lambda k: sum_of_products(
+        [(2 * i - k - 1, S[i], B[k + 1 - i]) for i in range(k + 2)
+         if 2 * i != k + 1 and S[i] and B[k + 1 - i]]))
+    inv_sqrt_part = sqrt_part.truncate(order - 1).inverse(old("inv_sqrt_part"))
+    Q = inv_sqrt_part.shift(1)
+    q = Q.mul(Q, old("q"))
+    Qprime = _extend(old("Qprime"), order - 1, lambda k: Q[k + 1] * (k + 1))
     bf = BlowupFunctions(B=B, S=S, Delta=Delta, Q=Q, q=q, Qprime=Qprime, order=order)
-    _check_normalization(bf)
+    _check_normalization(bf, work.get("order", 0))
+    work.update(log_sigma_over_z=log_sigma_over_z, sigma_over_z=sigma_over_z,
+                shifted=shifted, sqrt_part=sqrt_part, gauss=gauss,
+                s_over_t=s_over_t, B=B, Delta=Delta,
+                inv_sqrt_part=inv_sqrt_part, q=q, Qprime=Qprime, order=order)
     return bf
 
 
 class SeriesTable:
     """The terms of one geometric sequence of series, first * ratio^i,
     all kept at the deepest order asked for so far.  This is the only
-    place that decides whether to build at an order or truncate to it.
+    place that decides whether to extend to an order or truncate to it.
 
-    `build(order)` returns (initial terms, ratio) at that order; every
-    further term is the one before it times the ratio, appended once.
-    A deeper order rebuilds the table there.  A shallower order is served
-    by the term's `truncate`: the series are exact, so truncating a
-    deeper product gives the same coefficients as building at the
-    shallower order.  A table of one term (no ratio) holds any value
-    with a `truncate(order)`, such as BlowupFunctions.
+    `build(order, known)` returns (initial terms, ratio) at that order;
+    `known` is what it returned at the table's previous, shallower order
+    (None at first), and it continues those series rather than rebuild
+    them.  Every further term is the one before it times the ratio,
+    appended once.  A deeper order extends every term in place: each
+    product continues from the coefficients it already has, so each
+    coefficient is computed once.  A shallower order is served by the
+    term's `truncate`: the series are exact, so truncating a deeper term
+    gives the same coefficients as building at the shallower order.  A
+    table of one term (no ratio) holds any value with a
+    `truncate(order)`, such as BlowupFunctions.
     """
 
     def __init__(self, build):
         self._build = build
         self._order = -1
+        self._known = None
         self._terms = []
-        self._ratio = None
 
     def term(self, i: int, order: int):
         if i < 0:
             raise ValueError("term index must be nonnegative")
         if order > self._order:
-            terms, self._ratio = self._build(order)
-            self._terms = list(terms)
-            self._order = order
-        terms = self._terms
+            self._extend(order)
+        terms, ratio = self._terms, self._known[1]
         while len(terms) <= i:
-            terms.append(terms[-1] * self._ratio)
+            terms.append(terms[-1] * ratio)
         f = terms[i]
         return f if order == self._order else f.truncate(order)
 
+    def _extend(self, order: int):
+        known = self._build(order, self._known)
+        terms = list(known[0])
+        for old in self._terms[len(terms):]:
+            terms.append(terms[-1].mul(known[1], old))
+        self._order, self._known, self._terms = order, known, terms
 
-def _powers_of(name: str, order: int):
-    """The terms 1, f and the ratio f of the powers of a named series."""
+
+def _powers_of(name: str, order: int, known):
+    """The terms 1, f and the ratio f of the powers of a named series,
+    continuing the f of `known` (see SeriesTable)."""
     # Delta and Qprime are one order shorter than the build order.
     bf = blowup_functions(max(8, order + 1))
+    old = known and known[1]
     if name == "Binv":
-        f = bf.B.inverse()
+        f = bf.B.truncate(order).inverse(old)
     elif name == "inv_2mxq":
-        f = (2 - bf.q * PolyX.x()).inverse()
+        f = (2 - bf.q.truncate(order) * PolyX.x()).inverse(old)
     else:
-        f = getattr(bf, name)
-    f = f.truncate(order)
+        f = getattr(bf, name).truncate(order)
     return (SeriesT.one(order), f), f
 
 
@@ -220,20 +261,38 @@ def series_power(name: str, k: int, order: int) -> SeriesT:
     Delta, Q, q, Qprime or Binv = 1/B, inv_2mxq = 1/(2 - xq).
 
     One table per name holds f^0, f^1, ... at the deepest order asked for
-    so far, each power built once from the one before it."""
+    so far, each power the one before it times f, extended in place."""
     return _power_table(name).term(k, order)
 
 
 @lru_cache(maxsize=None)
-def _weight_table(a: int, s: int, kernel) -> SeriesTable:
-    """The table with first term B^(-a) (2-xq)^(-s) Q^i Q'^j, multiplied
-    out from its first nonzero factor, and ratio q."""
-    exponents = (("B" if a <= 0 else "Binv", abs(a)), ("inv_2mxq", s),
-                 ("Q", kernel[0]), ("Qprime", kernel[1]))
+def _product_table(factors) -> SeriesTable:
+    """The one-term table of the product of series_power(name, k) over
+    the (name, k) in `factors`: the product of all but the last factor,
+    from its own table, times the last, so that the tables that share a
+    prefix of factors share its product."""
+    *head, (name, k) = factors
 
-    def build(order):
-        factors = [series_power(name, k, order) for name, k in exponents if k]
-        first = reduce(mul, factors) if factors else SeriesT.one(order)
+    def build(order, known):
+        f = series_power(name, k, order)
+        if head:
+            f = _product_table(tuple(head)).term(0, order).mul(
+                f, known and known[0][0])
+        return (f,), None
+    return SeriesTable(build)
+
+
+@lru_cache(maxsize=None)
+def _weight_table(a: int, s: int, kernel) -> SeriesTable:
+    """The table with first term B^(-a) (2-xq)^(-s) Q^i Q'^j, the product
+    of its nonzero factors, and ratio q."""
+    factors = tuple((name, k) for name, k in (
+        ("B" if a <= 0 else "Binv", abs(a)), ("inv_2mxq", s),
+        ("Q", kernel[0]), ("Qprime", kernel[1])) if k)
+
+    def build(order, known):
+        first = (_product_table(factors).term(0, order) if factors
+                 else SeriesT.one(order))
         return (first,), series_power("q", 1, order)
     return SeriesTable(build)
 
@@ -265,12 +324,20 @@ def triangular_solve(weights, parity: int):
     return out
 
 
-def _check_normalization(bf: BlowupFunctions):
-    if bf.B[0] != P_ONE or bf.B[1] or bf.B[2] or bf.B[3]:
+def _require_zero(residual: SeriesT, name: str):
+    for k, coeff in enumerate(residual.coeffs):
+        if coeff:
+            raise IdentityError(name, k, coeff)
+
+
+def _check_normalization(bf: BlowupFunctions, start: int):
+    """B = 1 + O(t^4) and S = t + O(t^3), and the parity of the t^k
+    coefficients of B and S for k >= start."""
+    if start == 0 and (bf.B[0] != P_ONE or bf.B[1] or bf.B[2] or bf.B[3]):
         raise IdentityError("B-normalization", 0, bf.B[0])
-    if bf.S[0] or bf.S[1] != P_ONE or bf.S[2]:
+    if start == 0 and (bf.S[0] or bf.S[1] != P_ONE or bf.S[2]):
         raise IdentityError("S-normalization", 1, bf.S[1])
-    for k in range(bf.order):
+    for k in range(start, bf.order):
         if k % 2 == 1 and bf.B[k]:
             raise IdentityError("B-even", k, bf.B[k])
         if k % 2 == 0 and bf.S[k]:
@@ -290,11 +357,13 @@ def verify_elliptic_identities(bf: BlowupFunctions) -> dict:
     _require_zero(ode, "Qprime-ode")
     report["Qprime-ode"] = ode.order
 
-    delta_sq = bf.Delta**2 - (bf.B**4 - x * bf.S**2 * bf.B**2 + bf.S**4)
+    B2, S2 = bf.B * bf.B, bf.S * bf.S
+    B4, S4 = B2 * B2, S2 * S2
+    delta_sq = bf.Delta**2 - (B4 - x * S2 * B2 + S4)
     _require_zero(delta_sq, "Delta-squared")
     report["Delta-squared"] = delta_sq.order
 
-    b_double = bf.B.rescale(2) - (bf.B**4 - bf.S**4)
+    b_double = bf.B.rescale(2) - (B4 - S4)
     _require_zero(b_double, "B-double-angle")
     report["B-double-angle"] = b_double.order
 
@@ -310,8 +379,10 @@ def verify_elliptic_identities(bf: BlowupFunctions) -> dict:
         # only t^0..t^(n+1) are read, and they depend on B, S through t^(n+1)
         top = min(n + 2, bf.order)
         b, s = bf.B.truncate(top), bf.S.truncate(top)
+        f = s**n
         for r in range(0, 9):
-            f = b**r * s**n
+            if r:
+                f = f * b  # b^r s^n
             for k in range(min(n + 2, f.order)):
                 expected = P_ONE if k == n else P_ZERO
                 if f[k] != expected:

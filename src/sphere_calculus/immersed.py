@@ -54,10 +54,6 @@ from .record import Record
 X = PolyX.x()
 X2M4 = X * X - 4
 
-# The least t-order `universal_coefficients` builds a weight table
-# through, so that the chain relations of low t-powers need no rebuild.
-CHECK_ORDER_MIN = 12
-
 # The q-basis kernel (i, j) of Q^i Q'^j on each side of a normal form.
 KERNEL = {"cosh": (0, 1), "sinh": (1, 0)}
 
@@ -177,8 +173,7 @@ def universal_coefficients(a: int, s: int, side: str):
         top, par = k0_index(a, s), 1
     if top < 0:
         return ()
-    order = max(CHECK_ORDER_MIN, 2 * top + par + 2)
-    weights = [weight_series(a, s, KERNEL[side], i, order)
+    weights = [weight_series(a, s, KERNEL[side], i, 2 * top + par + 2)
                for i in range(top + 1)]
     return tuple(triangular_solve(weights, par))
 

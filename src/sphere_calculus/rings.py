@@ -7,7 +7,11 @@ arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
 installed, else fractions.Fraction.  Series products and the exp, sqrt
 and inverse recurrences share one kernel, _int_dot (sum_of_products over
 PolyX pairs): each output coefficient is a sum of int convolutions over
-one common denominator, reduced once.  linear_combination, on top of it,
+one common denominator, reduced once.  Each of them computes its result
+coefficient by coefficient from the ones below, so given a known
+truncation of its result (`known`) it computes only the coefficients
+above it; that is how the series tables of `elliptic` deepen.
+linear_combination, on top of it,
 is the one path for every other summed product: the polynomial product
 of RingPoly, RingPoly.combination and the engine's exact linear
 combinations of sequences.  Every container here is immutable after
@@ -328,6 +332,11 @@ def _lift(polys):
             for p in polys], den
 
 
+def _prefix(known) -> list:
+    """The known coefficients a product or recurrence continues from."""
+    return [] if known is None else list(known.coeffs)
+
+
 def _series(coeffs, order: int) -> "SeriesT":
     """The series with exactly `order` PolyX coefficients `coeffs`."""
     f = _new(SeriesT)
@@ -347,7 +356,8 @@ class SeriesT:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs, order: int):
-        coeffs = tuple(_as_polyx(c) for c in coeffs)
+        coeffs = tuple([c if type(c) is PolyX else _as_polyx(c)
+                        for c in coeffs])
         if len(coeffs) < order:
             coeffs = coeffs + (P_ZERO,) * (order - len(coeffs))
         self.coeffs = coeffs[:order]
@@ -421,26 +431,31 @@ class SeriesT:
 
     def __mul__(self, other):
         if isinstance(other, SeriesT):
-            # Over one common denominator per factor, each product
-            # coefficient is an int convolution reduced once.
-            n = min(self.order, other.order)
-            a, da = _lift(self.coeffs[:n])
-            b, db = _lift(other.coeffs[:n])
-            nonzero_a = [i for i in range(n) if a[i]]
-            out = []
-            for k in range(n):
-                pairs = []
-                for i in nonzero_a:
-                    if i > k:
-                        break
-                    if b[k - i]:
-                        pairs.append((a[i], b[k - i]))
-                out.append(_int_dot(pairs, da * db))
-            return _series(out, n)
+            return self.mul(other)
         if isinstance(other, _RAT_TYPES) or isinstance(other, PolyX):
             p = _as_polyx(other)
             return _series([c * p for c in self.coeffs], self.order)
         return NotImplemented
+
+    def mul(self, other: "SeriesT", known: "SeriesT" = None) -> "SeriesT":
+        """The product self * other.  `known`, a truncation of it, gives
+        its coefficients below known.order; only the rest are computed."""
+        # Over one common denominator per factor, each product
+        # coefficient is an int convolution reduced once.
+        n = min(self.order, other.order)
+        out = _prefix(known)
+        a, da = _lift(self.coeffs[:n])
+        b, db = (a, da) if other is self else _lift(other.coeffs[:n])
+        nonzero_a = [i for i in range(n) if a[i]]
+        for k in range(len(out), n):
+            pairs = []
+            for i in nonzero_a:
+                if i > k:
+                    break
+                if b[k - i]:
+                    pairs.append((a[i], b[k - i]))
+            out.append(_int_dot(pairs, da * db))
+        return _series(out, n)
 
     __rmul__ = __mul__
 
@@ -472,8 +487,9 @@ class SeriesT:
             power *= c
         return SeriesT(out, self.order)
 
-    def inverse(self) -> "SeriesT":
-        """Multiplicative inverse; requires an invertible constant term."""
+    def inverse(self, known: "SeriesT" = None) -> "SeriesT":
+        """Multiplicative inverse; requires an invertible constant term.
+        `known` is as in `mul`."""
         if self.order == 0 or not self.coeffs[0].is_unit():
             raise ValueError("series not a unit")
         # g_n = -(f_1 g_(n-1) + ... + f_n g_0) / f_0, f_0 = c / d.
@@ -481,20 +497,21 @@ class SeriesT:
         (c,), d = f[0].num, f[0].den
         w, div = (-d, c) if c > 0 else (d, -c)
         nonzero = [i for i in range(1, self.order) if f[i]]
-        out = [P_ONE / f[0]]
-        for n in range(1, self.order):
+        out = _prefix(known) or [P_ONE / f[0]]
+        for n in range(len(out), self.order):
             out.append(sum_of_products(
                 [(w, f[i], out[n - i]) for i in nonzero if i <= n], div))
         return _series(out, self.order)
 
-    def sqrt(self) -> "SeriesT":
-        """Principal square root; requires constant term 1."""
+    def sqrt(self, known: "SeriesT" = None) -> "SeriesT":
+        """Principal square root; requires constant term 1.  `known` is
+        as in `mul`."""
         if self.order == 0 or self.coeffs[0] != P_ONE:
             raise ValueError("series sqrt requires constant term 1")
         # g_n = (f_n - sum_{0<i<n} g_i g_(n-i)) / 2, each unordered pair
         # of the symmetric sum taken once with weight 2.
-        out = [P_ONE]
-        for n in range(1, self.order):
+        out = _prefix(known) or [P_ONE]
+        for n in range(len(out), self.order):
             terms = [(-2, out[i], out[n - i]) for i in range(1, (n + 1) // 2)
                      if out[i] and out[n - i]]
             if n % 2 == 0:
@@ -503,16 +520,17 @@ class SeriesT:
             out.append(sum_of_products(terms, 2))
         return _series(out, self.order)
 
-    def exp(self) -> "SeriesT":
-        """exp of a series with zero constant term."""
+    def exp(self, known: "SeriesT" = None) -> "SeriesT":
+        """exp of a series with zero constant term.  `known` is as in
+        `mul`."""
         if self.order > 0 and self.coeffs[0]:
             raise ValueError("series exp requires zero constant term")
         # g' = f' g determines g coefficient by coefficient:
         # g_n = (1 f_1 g_(n-1) + ... + n f_n g_0) / n.
         f = self.coeffs
         nonzero = [i for i in range(1, self.order) if f[i]]
-        out = [P_ONE]
-        for n in range(1, self.order):
+        out = _prefix(known) or [P_ONE]
+        for n in range(len(out), self.order):
             out.append(sum_of_products(
                 [(i, f[i], out[n - i]) for i in nonzero if i <= n], n))
         return SeriesT(out, self.order)

@@ -1,14 +1,16 @@
 """Command-line front end and emitters."""
 
 import json
+import platform
 
 import pytest
 
-from sphere_calculus import cli, emit
+from sphere_calculus import __version__, cli, emit
 from sphere_calculus.cli import default_order, run
 from sphere_calculus.embedded import DerivationError
 from sphere_calculus.immersed import derive_immersed
 from sphere_calculus.lens import build_poset
+from sphere_calculus.rings import rat
 
 
 def capture(capsys, argv):
@@ -73,6 +75,18 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         run(["series", "--fn", "nope"])
     assert exc.value.code == 2
+
+
+def test_version_reports_backend(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    backend = type(rat(0))
+    assert out == "sphere-calculus %s (arithmetic %s.%s, Python %s)\n" % (
+        __version__, backend.__module__, backend.__qualname__,
+        platform.python_version())
+    assert err == ""
 
 
 def test_lens_poset_without_charges_exit_2():

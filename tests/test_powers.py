@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sphere_calculus import elliptic, embedded, immersed, model
+from sphere_calculus import elliptic, embedded, immersed, model, rings
 from sphere_calculus.elliptic import (
     build_blowup_functions,
     series_power,
@@ -128,3 +128,82 @@ def test_truncated_blowup_functions_match_fresh_builds():
         got = elliptic.blowup_functions(order)
         for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
             assert_same(getattr(got, name), fresh(order)[name])
+
+
+# The weight tables the deepening tests read: (a, s, kernel), q^0..q^2.
+DEEPENED_WEIGHTS = [(-3, 2, (1, 1)), (2, 1, (0, 1)), (0, 0, (1, 0)),
+                    (-4, 0, (0, 0))]
+
+
+def clear_series_tables():
+    for table in (elliptic.blowup_functions, elliptic._blowup_table,
+                  elliptic._power_table, elliptic._product_table,
+                  elliptic._weight_table):
+        table.cache_clear()
+
+
+def deepened_requests(order):
+    return ([elliptic.blowup_functions(order)]
+            + [series_power(name, k, order) for name in NAMES
+               for k in range(4)]
+            + [elliptic.weight_series(a, s, kernel, i, order)
+               for a, s, kernel in DEEPENED_WEIGHTS for i in range(3)])
+
+
+def kernel_work(monkeypatch, orders):
+    """The requests of each order in turn from cleared tables, and the
+    int multiplications _int_dot did for them."""
+    clear_series_tables()
+    work = [0]
+    int_dot = rings._int_dot
+
+    def spy(pairs, den):
+        work[0] += sum(len(a) * len(b) for a, b in pairs)
+        return int_dot(pairs, den)
+
+    with monkeypatch.context() as m:
+        m.setattr(rings, "_int_dot", spy)
+        got = {order: deepened_requests(order) for order in orders}
+    return got, work[0]
+
+
+def test_ascending_deepening_matches_fresh_builds_at_the_cost_of_one(
+        monkeypatch):
+    got, ascending = kernel_work(monkeypatch, range(8, 41))
+    for order, (bf, *rest) in got.items():
+        for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
+            assert_same(getattr(bf, name), fresh(order)[name])
+        powers, weights = rest[:4 * len(NAMES)], rest[4 * len(NAMES):]
+        for (name, k), f in zip([(n, k) for n in NAMES for k in range(4)],
+                                powers):
+            assert_same(f, fresh(order + 1)[name].truncate(order) ** k)
+        for (a, s, kernel, i), f in zip(
+                [w + (i,) for w in DEEPENED_WEIGHTS for i in range(3)],
+                weights):
+            assert_same(f, from_scratch_weight(a, s, kernel, i, order))
+    _, one_build = kernel_work(monkeypatch, [40])
+    # Extending continues every product and recurrence where the last
+    # order left it, so the 33 orders cost what the deepest alone does:
+    # the two counts are equal, and the 5 % slack leaves room for a first
+    # build that groups its products differently.  Rebuilding the tables
+    # at each order costs about 6.6 times one build here.
+    assert ascending <= 1.05 * one_build
+
+
+def test_deepening_checks_every_new_coefficient(monkeypatch):
+    clear_series_tables()
+    elliptic.blowup_functions(16)
+    # A wrong g2 from here on falsifies the Weierstrass ODE at every
+    # t-power where it meets a nonzero coefficient, from t^4 up.  The
+    # deepening checks only the coefficients the build at 16 did not
+    # reach, so the first failure it finds lies above them.
+    with monkeypatch.context() as m:
+        m.setattr(elliptic, "G2", elliptic.G2 + 1)
+        with pytest.raises(elliptic.IdentityError) as err:
+            elliptic.blowup_functions(24)
+    assert err.value.name == "weierstrass-ode"
+    assert err.value.degree >= 16
+    # The failed extension left the table as it was.
+    bf = elliptic.blowup_functions(24)
+    for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
+        assert_same(getattr(bf, name), fresh(24)[name])

@@ -73,6 +73,20 @@ BEZOUT_STEP3 = (
     QPoly((PolyX.const(-3), -2 * X, P_ONE, X)),          # -3 - 2qx + q^2 + q^3 x
 )
 
+# The q-polynomial multipliers of each step's (untwisted, twisted)
+# transported lists, per side, built once.  The 1/2 of a once-twisted
+# payload and the 1/4 of a twice-twisted one ride on the multiplier, so
+# no transported list is rescaled.
+STEP1_MULTIPLIERS = {
+    "cosh": (QPoly.const(1), QPoly.const(rat(1, 2))),    # 1, 1/2
+    "sinh": (QPoly.const(2), QPoly((-X / 2, P_ONE))),    # 2, (2q - x)/2
+}
+STEP2_MULTIPLIERS = {
+    "cosh": (BEZOUT_STEP2[2], BEZOUT_STEP2[3] * rat(1, 2)),  # phi1, phi2/2
+    "sinh": (QPoly.const(X2M4), QPoly((P_ZERO, X2M4 / 2))),  # x^2-4, q(x^2-4)/2
+}
+STEP3_MULTIPLIERS = (BEZOUT_STEP3[2], BEZOUT_STEP3[3] * rat(1, 4))  # phi1, phi2/4
+
 
 def r_index(p: int, s: int) -> int:
     return (p + 1 - s) // 2
@@ -118,6 +132,10 @@ def validate_normal_form(nf: NormalForm):
             raise DerivationError("sinh coefficient %d degree/parity" % i)
 
 
+# The universal coefficients depend on (a, s) alone, so the steps of a
+# grid transport the same polynomials again and again: each transport is
+# computed once per process.
+@lru_cache(maxsize=None)
 def shift_reduce(poly: AlphaPoly, mode: str) -> AlphaPoly:
     """Substitute alpha -> alpha + 2e and reduce e-powers to moments.
 
@@ -140,11 +158,8 @@ def _shifted_power(mode: str, p: int) -> tuple:
                   for k in range(p + 1)])
 
 
-def _sr(coeffs, mode, scale=None):
-    out = [shift_reduce(c, mode) for c in coeffs]
-    if scale is not None:
-        out = [c * scale for c in out]
-    return out
+def _sr(coeffs, mode):
+    return [shift_reduce(c, mode) for c in coeffs]
 
 
 def _combine(terms):
@@ -188,13 +203,14 @@ def _make_target(p: int, s: int, a: int) -> NormalForm:
                       d=universal_coefficients(a, s, "sinh"))
 
 
-def expansion_coefficient(nf: NormalForm, side: str, tpow: int) -> AlphaPoly:
+def expansion_coefficient(a: int, s: int, side: str, tpow: int) -> AlphaPoly:
     """The t^tpow Taylor coefficient, times tpow!, of the q-normal-form
     series B^(-a) (2-xq)^(-s) sum_i q^i K c_i(alpha) with K = Q' on the
-    cosh side and K = Q on the sinh side.  Alpha stays symbolic."""
+    cosh side and K = Q on the sinh side, over the universal (a, s)
+    coefficients c_i.  Alpha stays symbolic."""
     return AlphaPoly.combination(
-        [(weight_series(nf.a, nf.s, KERNEL[side], i, tpow + 1)[tpow], ci)
-         for i, ci in enumerate(nf.c if side == "cosh" else nf.d)]
+        [(weight_series(a, s, KERNEL[side], i, tpow + 1)[tpow], ci)
+         for i, ci in enumerate(universal_coefficients(a, s, side))]
     ) * factorial(tpow)
 
 
@@ -211,24 +227,23 @@ def _expansion_coefficients(a, s, side, coeffs, order):
                  for j in range(order))
 
 
-# Each family loads each relation once, so this memo never hits, but the
-# benchmark's traced run reads its cache_info(), so it stays an lru_cache
-# until the benchmark drops it.
+# The relation depends on (s, a, m) and not on p, so the families (p, a)
+# of every p share it: 126 of the 446 lookups of a 125-cell grid batch
+# hit.
 @lru_cache(maxsize=None)
-def _chain_relation(p: int, s: int, a: int, m: int):
-    """The alpha-relation obtained from the t^m coefficient of the
-    (p, s, a) structure equation.
+def _chain_relation(s: int, a: int, m: int):
+    """The alpha-relation alpha^m - rho obtained from the t^m coefficient
+    of every (p, s, a) structure equation.
 
-    The t^m coefficient reads (x^2-4)^r (alpha^m - rho) == 0 with
-    rho the matching Taylor coefficient of the right-hand side.  Returns
-    (r, relation) or None when m is within the equation's retained range
-    (no rule available)."""
-    eq = _make_target(p, s, a)
-    side = "sinh" if m % 2 else "cosh"
-    bound = eq.k0 if m % 2 else eq.k
+    The t^m coefficient reads (x^2-4)^r(p, s) (alpha^m - rho) == 0 with
+    rho the matching Taylor coefficient of the right-hand side, which
+    depends only on (a, s).  Returns the relation, or None when m is
+    within the equation's retained range (no rule available)."""
+    bound = k0_index(a, s) if m % 2 else k_index(a, s)
     if m // 2 <= bound:
         return None
-    return eq.r, AlphaPoly.gen(m) - expansion_coefficient(eq, side, m)
+    side = "sinh" if m % 2 else "cosh"
+    return AlphaPoly.gen(m) - expansion_coefficient(a, s, side, m)
 
 
 class ReductionContext:
@@ -254,7 +269,10 @@ class ReductionContext:
 
     One context serves every step into the family (see `_family`).  It
     loads the relations of t^0, t^1, ... in (m, s' descending) order up
-    to the top degree of the residual it reduces.
+    to the top degree of the residual it reduces.  The relation
+    alpha^m - rho depends on (s', a, m) only, so every family (p, a)
+    shares it through `_chain_relation`; the context scales it by
+    (x^2-4)^{r(p,s')} when it inserts it.
     """
 
     def __init__(self, p: int, a: int):
@@ -279,9 +297,9 @@ class ReductionContext:
         if poly:
             for m in range(self.loaded + 1, poly.degree + 1):
                 for s in range(self.p, -1, -1):
-                    got = _chain_relation(self.p, s, self.a, m)
-                    if got is not None:
-                        self._insert(got[1] * X2M4**got[0])
+                    rel = _chain_relation(s, self.a, m)
+                    if rel is not None:
+                        self._insert(rel * X2M4**r_index(self.p, s))
                 self.loaded = m
             for d in range(poly.degree, -1, -1):
                 piv = self.pivots.get(d)
@@ -364,23 +382,22 @@ def step_raise_s(nf: NormalForm) -> NormalForm:
     # Both sides times 2-xq live over the denominator (2-xq)^s, so the
     # canonical output enters the residual at exponent s, not s+1.  The
     # whole residual sits under the common factor (x^2-4)^r.
-    half = rat(1, 2)
 
     # cosh: [1-q^2 weight] c~B  +  [1-xq+q^2 weight] d~S/2; the weights
     # sum to the new denominator factor 2-xq.  The retained coefficients
     # must match the canonical output exactly; the excess top
     # coefficients (the analogue of d_{k+2} = 0 and c_{k+1} = -d_{k+1})
     # vanish modulo the rewrite rules, which the residual check covers.
-    one = QPoly.const(1)
+    f, g = STEP1_MULTIPLIERS["cosh"]
     _check_side(nf, out, "cosh",
-                [(one, _sr(nf.c, "B")), (one, _sr(nf.d, "S", half))],
+                [(f, _sr(nf.c, "B")), (g, _sr(nf.d, "S"))],
                 "step 1", retained=True)
 
     # sinh: [1-q^2 weight] d~B  +  [q weight] c~S/2; combine with the
     # multipliers 2 and 2q - x so the weights sum to 2-xq.
+    f, g = STEP1_MULTIPLIERS["sinh"]
     _check_side(nf, out, "sinh",
-                [(QPoly.const(2), _sr(nf.d, "B")),
-                 (QPoly((-X, PolyX.const(2))), _sr(nf.c, "S", half))],
+                [(f, _sr(nf.d, "B")), (g, _sr(nf.c, "S"))],
                 "step 1", retained=True)
     return out
 
@@ -394,22 +411,19 @@ def step_p_odd(nf: NormalForm) -> NormalForm:
     p, a = nf.p + 1, nf.a + 4
     if p % 2 != 1:
         raise DerivationError("step 2 requires odd target p")
-    _, _, phi1, phi2 = BEZOUT_STEP2
     out = _make_target(p, 0, a)
-    half = rat(1, 2)
 
     # cosh: phi1 * [1-q^2 weight, c~B] + phi2 * [1-xq+q^2 weight, d~S/2]
+    f, g = STEP2_MULTIPLIERS["cosh"]
     _check_side(nf, out, "cosh",
-                [(phi1, _sr(nf.c, "B")), (phi2, _sr(nf.d, "S", half))],
-                "step 2")
+                [(f, _sr(nf.c, "B")), (g, _sr(nf.d, "S"))], "step 2")
 
     # sinh: (x^2-4) * [1-q^2 weight, d~B] + q(x^2-4) * [q weight, c~S/2];
     # the weights combine to (1-q^2) + q*q = 1, trading the denominators
     # for one factor of x^2-4.
+    f, g = STEP2_MULTIPLIERS["sinh"]
     _check_side(nf, out, "sinh",
-                [(QPoly.const(X2M4), _sr(nf.d, "B")),
-                 (QPoly((P_ZERO, X2M4)), _sr(nf.c, "S", half))],
-                "step 2")
+                [(f, _sr(nf.d, "B")), (g, _sr(nf.c, "S"))], "step 2")
     return out
 
 
@@ -423,18 +437,20 @@ def step_p_even(nf: NormalForm) -> NormalForm:
     p, a = nf.p + 2, nf.a + 8
     if p % 2 != 0 or p < 2:
         raise DerivationError("step 3 requires even target p >= 2")
-    _, _, phi1, phi2 = BEZOUT_STEP3
     out = _make_target(p, 0, a)
     # On each side the twice-untwisted equation carries weight
     # (1-q^2)^2; the twice-twisted one (scaled by 1/4) carries
     # q(1-xq+q^2), whose free term must vanish so the index shift
-    # d_i = c_{i-1} leaves weight 1-xq+q^2.
+    # d_i = c_{i-1} leaves weight 1-xq+q^2.  The 1/4 rides on phi2, and
+    # scaling does not change whether the free term vanishes.
+    phi1, quarter_phi2 = STEP3_MULTIPLIERS
     for side, coeffs in (("cosh", nf.c), ("sinh", nf.d)):
-        twisted = _sr(_sr(coeffs, "S"), "S", rat(1, 4))
+        twisted = _sr(_sr(coeffs, "S"), "S")
         if twisted and twisted[0]:
             raise DerivationError("step 3 %s free term did not vanish" % side)
         _check_side(nf, out, side,
-                    [(phi1, _sr(_sr(coeffs, "B"), "B")), (phi2, twisted[1:])],
+                    [(phi1, _sr(_sr(coeffs, "B"), "B")),
+                     (quarter_phi2, twisted[1:])],
                     "step 3")
     return out
 

@@ -5,17 +5,19 @@ All coefficients are exact rationals.  A polynomial in x stores Python
 ints over one common denominator, so its arithmetic is integer
 arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
 installed, else fractions.Fraction.  Series products and the exp, sqrt
-and inverse recurrences share one kernel, _int_dot (sum_of_products over
-PolyX pairs): each output coefficient is a sum of int convolutions over
-one common denominator, reduced once.  Each of them computes its result
+and inverse recurrences share one kernel, _int_dot over int numerator
+pairs: each output coefficient is a sum of int convolutions over one
+common denominator, reduced once.  Each of them computes its result
 coefficient by coefficient from the ones below, so given a known
 truncation of its result (`known`) it computes only the coefficients
 above it; that is how the series tables of `elliptic` deepen.
-linear_combination, on top of it,
-is the one path for every other summed product: the polynomial product
-of RingPoly, RingPoly.combination and the engine's exact linear
-combinations of sequences.  Every container here is immutable after
-construction; all operations return new values.
+linear_combination is the one path for every other summed product: the
+polynomial product of RingPoly, RingPoly.combination and the engine's
+exact linear combinations of sequences.  It builds the _int_dot pairs
+of each entry directly from the weights' numerators.  An entry or
+coefficient with no nonzero product is zero without a kernel call.
+Every container here is immutable after construction; all operations
+return new values.
 """
 
 from __future__ import annotations
@@ -302,10 +304,14 @@ def _int_dot(pairs, den: int) -> "PolyX":
 
 def sum_of_products(terms, div: int = 1) -> "PolyX":
     """The PolyX (sum of w * p * q) / div over the (w, p, q) in `terms`,
-    for int weights w, PolyX p, q and a positive int div.  Each product
-    is scaled onto the lcm of the pair denominators p.den * q.den, so
-    the sum is int arithmetic reduced once (see _int_dot)."""
-    terms = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms]
+    for nonzero int weights w, PolyX p, q and a positive int div.  Each
+    product is scaled onto the lcm of the pair denominators p.den * q.den,
+    so the sum is int arithmetic reduced once (see _int_dot); a sum with
+    no nonzero product is P_ZERO without a kernel call."""
+    terms = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms
+             if p.num and q.num]
+    if not terms:
+        return P_ZERO
     den = lcm(*[d for _, _, _, d in terms])
     pairs = []
     for w, a, b, d in terms:
@@ -316,12 +322,26 @@ def sum_of_products(terms, div: int = 1) -> "PolyX":
 
 def linear_combination(terms, size: int) -> list:
     """[sum of w * f[k] over the (w, f) in `terms`] for k < size, with
-    PolyX weights w and sequences f of PolyX (zero past their end): each
-    entry is one sum_of_products, reduced once."""
-    terms = [(w, f) for w, f in terms if w]
-    return [sum_of_products([(1, w, f[k]) for w, f in terms
-                             if k < len(f) and f[k]])
-            for k in range(size)]
+    PolyX weights w and sequences f of PolyX (zero past their end).  Each
+    entry with a nonzero product is one _int_dot over the lcm of its
+    pairs' denominators, reduced once; any other entry is P_ZERO."""
+    rows = [[] for _ in range(size)]
+    for w, f in terms:
+        num, den = w.num, w.den
+        if num:
+            for row, c in zip(rows, f):
+                if c.num:
+                    row.append((num, den * c.den, c.num))
+    out = []
+    for row in rows:
+        if not row:
+            out.append(P_ZERO)
+            continue
+        den = lcm(*[d for _, d, _ in row])
+        out.append(_int_dot(
+            [(num if d == den else [c * (den // d) for c in num], b)
+             for num, d, b in row], den))
+    return out
 
 
 def _lift(polys):
@@ -441,7 +461,8 @@ class SeriesT:
         """The product self * other.  `known`, a truncation of it, gives
         its coefficients below known.order; only the rest are computed."""
         # Over one common denominator per factor, each product
-        # coefficient is an int convolution reduced once.
+        # coefficient is an int convolution reduced once; a coefficient
+        # with no nonzero pair is P_ZERO.
         n = min(self.order, other.order)
         out = _prefix(known)
         a, da = _lift(self.coeffs[:n])
@@ -454,7 +475,7 @@ class SeriesT:
                     break
                 if b[k - i]:
                     pairs.append((a[i], b[k - i]))
-            out.append(_int_dot(pairs, da * db))
+            out.append(_int_dot(pairs, da * db) if pairs else P_ZERO)
         return _series(out, n)
 
     __rmul__ = __mul__

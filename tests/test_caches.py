@@ -50,6 +50,7 @@ def test_engine_caches_are_found():
         ("sphere_calculus.elliptic", "_weight_table"),
         ("sphere_calculus.immersed", "derive_immersed"),
         ("sphere_calculus.immersed", "_expansion_coefficients"),
+        ("sphere_calculus.immersed", "shift_reduce"),
         ("sphere_calculus.immersed", "ReductionContext"),  # immersed._family
         ("sphere_calculus.model", "moments"),
         ("sphere_calculus.embedded", "derive_embedded"),
@@ -80,3 +81,14 @@ def test_no_power_of_s_or_delta_is_built(monkeypatch):
     for cell in CELLS:
         immersed.derive_immersed(*cell)
     assert asked and not {"S", "Delta"} & set(asked)
+
+
+def test_relation_and_transport_memos_hit():
+    """The steps of one grid share relations across families and
+    transport each value once: both memos hit."""
+    clear_all()
+    for cell in CELLS:
+        immersed.derive_immersed(*cell)
+    for memo in (immersed._chain_relation, immersed.shift_reduce):
+        info = memo.cache_info()
+        assert info.hits > 0 and info.misses > 0

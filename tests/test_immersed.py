@@ -213,6 +213,29 @@ def test_tampered_input_is_falsified_odd_step():
 # ------------------------------------------------- shared echelon basis
 
 
+@pytest.mark.parametrize("p", range(5))
+def test_chain_relation_is_shared_by_every_p(p):
+    """The t^m relation (x^2-4)^r (alpha^m - rho) read directly off the
+    (p, s, a) target is the shared _chain_relation(s, a, m) times
+    (x^2-4)^r(p, s): the relation memo may drop p from its key."""
+    for s in range(p + 1):
+        for a in range(4 * p - 10, 4 * p - 1):
+            nf = immersed._make_target(p, s, a)
+            for m in range(13):
+                side = "sinh" if m % 2 else "cosh"
+                got = _chain_relation(s, a, m)
+                if m // 2 <= (nf.k0 if m % 2 else nf.k):
+                    assert got is None
+                    continue
+                rho = AlphaPoly()
+                for i, ci in enumerate(nf.d if m % 2 else nf.c):
+                    rho = rho + ci * weight_series(
+                        nf.a, nf.s, immersed.KERNEL[side], i, m + 1)[m]
+                want = (A(m) - rho * math.factorial(m)) * X2M4**nf.r
+                assert got * X2M4**r_index(p, s) == want
+
+
+
 class FreshContext:
     """Reference: one echelon basis per step, built from nothing out of
     the target family (p, a) and the blown-down input sources
@@ -246,14 +269,14 @@ class FreshContext:
         for m in range(self.loaded + 1, mmax + 1):
             for i, (p_src, a_src, chain) in enumerate(self.sources):
                 for s in range(p_src, -1, -1):
-                    got = _chain_relation(p_src, s, a_src, m)
-                    if got is None:
+                    rel = _chain_relation(s, a_src, m)
+                    if rel is None:
                         continue
-                    rel = got[1]
                     for mode in chain:
                         rel = shift_reduce(rel, mode)
                     self.insertions[i] += 1
-                    self.made[i] += self.insert(rel * X2M4**got[0])
+                    self.made[i] += self.insert(
+                        rel * X2M4**r_index(p_src, s))
         self.loaded = max(self.loaded, mmax)
 
     def reduce(self, poly):

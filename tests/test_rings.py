@@ -468,3 +468,82 @@ def test_ring_combination_matches_per_term_reference(terms, ring):
     got = ring.combination(polys)
     assert type(got) is ring and got == want
     assert canonical_pairs(got.coeffs) == canonical_pairs(want.coeffs)
+
+
+# The kernel's entry points skip every entry with no nonzero product:
+# naive references built from PolyX `*` and `+` alone must agree with
+# them in canonical form, on inputs full of zeros and of one parity.
+
+weights = (st.just(PolyX()) | wide_rationals.map(PolyX.const) | wide_polys)
+entries = st.lists(st.just(PolyX()) | wide_polys, max_size=8)
+
+
+@given(st.lists(st.tuples(weights, entries), max_size=5), st.integers(0, 10))
+@example([(PolyX(), [X, X]), (PolyX.const(rat(2, 3)), [PolyX(), X / 3]),
+          (X * X - 1, [PolyX(), PolyX(), rat(1, 5) * X])], 4)
+@settings(max_examples=120, deadline=None)
+def test_linear_combination_skips_zero_entries_exactly(terms, size):
+    got = linear_combination(terms, size)
+    assert canonical_pairs(got) == canonical_pairs(
+        ref_linear_combination(terms, size))
+
+
+def shaped(coeffs, shape):
+    """coeffs with the entries off `shape` zeroed: "even" and "odd" keep
+    one t-parity, "sparse" every third power, "dense" all of them."""
+    keep = {"even": lambda k: k % 2 == 0, "odd": lambda k: k % 2 == 1,
+            "sparse": lambda k: k % 3 == 0, "dense": lambda k: True}[shape]
+    return SeriesT([c if keep(k) else PolyX() for k, c in enumerate(coeffs)],
+                   len(coeffs))
+
+
+shapes = st.sampled_from(["even", "odd", "sparse", "dense"])
+
+
+def naive_product(f, g):
+    n = min(f.order, g.order)
+    out = [PolyX()] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = out[i + j] + f[i] * g[j]
+    return out
+
+
+@given(st.lists(wide_polys, min_size=1, max_size=9), shapes,
+       st.lists(wide_polys, min_size=1, max_size=9), shapes,
+       st.integers(0, 9))
+@settings(max_examples=150, deadline=None)
+def test_series_product_skips_zero_coefficients_exactly(fa, sa, fb, sb, cut):
+    f, g = shaped(fa, sa), shaped(fb, sb)
+    want = naive_product(f, g)
+    n = len(want)
+    known = SeriesT(want[:min(cut, n)], min(cut, n))
+    for got in (f.mul(g), f.mul(g, known)):
+        assert got.order == n
+        assert canonical_pairs(got.coeffs) == canonical_pairs(want)
+    assert canonical_pairs(f.mul(f).coeffs) == canonical_pairs(
+        naive_product(f, f))
+
+
+def test_no_structural_zero_reaches_the_kernel(monkeypatch, capsys):
+    """From cleared caches, `verify --suite all` and the cache-test grid
+    call _int_dot only with something to sum."""
+    from sphere_calculus import cli, immersed, rings
+    from test_caches import CELLS, clear_all
+
+    calls, empty = [0], []
+    int_dot = rings._int_dot
+
+    def spy(pairs, den):
+        calls[0] += 1
+        if not pairs:
+            empty.append(den)
+        return int_dot(pairs, den)
+
+    monkeypatch.setattr(rings, "_int_dot", spy)
+    clear_all()
+    assert cli.run(["verify", "--suite", "all"]) == 0
+    for cell in CELLS:
+        immersed.derive_immersed(*cell)
+    capsys.readouterr()
+    assert calls[0] and not empty

@@ -4,18 +4,21 @@ power series in t, and polynomials in q.
 All coefficients are exact rationals.  A polynomial in x stores Python
 ints over one common denominator, so its arithmetic is integer
 arithmetic; coefficients handed out are gmpy2.mpq when gmpy2 is
-installed, else fractions.Fraction.  Series products and the exp, sqrt
-and inverse recurrences share one kernel, _int_dot over int numerator
-pairs: each output coefficient is a sum of int convolutions over one
-common denominator, reduced once.  Each of them computes its result
-coefficient by coefficient from the ones below, so given a known
-truncation of its result (`known`) it computes only the coefficients
-above it; that is how the series tables of `elliptic` deepen.
-linear_combination is the one path for every other summed product: the
-polynomial product of RingPoly, RingPoly.combination and the engine's
-exact linear combinations of sequences.  It builds the _int_dot pairs
-of each entry directly from the weights' numerators.  An entry or
-coefficient with no nonzero product is zero without a kernel call.
+installed, else fractions.Fraction.  Every summed product runs through
+one kernel, _int_dot, over rows (w, a, d, b): an int weight, two int
+numerator sequences and the pair's denominator.  The kernel scales each
+row onto the lcm of the rows' d, sums the int convolutions and
+reduces once, so each output coefficient lives over the denominators
+of its own pairs and no other.  sum_of_products builds the rows of one
+coefficient: series products and the exp, sqrt and inverse recurrences
+call it coefficient by coefficient, each from the ones below, so given a
+known truncation of its result (`known`) each computes only the
+coefficients above it; that is how the series tables of `elliptic`
+deepen.  linear_combination builds the rows of every entry of a
+weighted sum of sequences: the polynomial product of RingPoly,
+RingPoly.combination and the engine's exact linear combinations.  An
+entry or coefficient with no nonzero product is zero without a kernel
+call.
 Every container here is immutable after construction; all operations
 return new values.
 """
@@ -23,6 +26,7 @@ return new values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from math import gcd, lcm
 
 try:
@@ -284,72 +288,56 @@ P_ZERO = _make((), 1)
 P_ONE = _make((1,), 1)
 
 
-def _int_dot(pairs, den: int) -> "PolyX":
-    """The PolyX (sum of a * b) / den over the (a, b) in `pairs`, for int
-    numerator sequences a, b and a positive int den: one int convolution
-    per pair and one _canon for the sum.  Every series convolution runs
-    through it; a lone PolyX product keeps the leaner loop of
-    PolyX.__mul__."""
+def _int_dot(rows, div: int) -> "PolyX":
+    """The PolyX (sum of w * a * b / d) / div over the rows (w, a, d, b)
+    of `rows`, for an int weight w, int numerator sequences a, b, the
+    positive int denominator d of the pair and a positive int div.  Each
+    row is scaled onto the lcm of the rows' d as it is convolved, and
+    the sum is reduced once with _canon.  This is the one place that
+    picks the denominator of a summed product: every series convolution
+    and exact linear combination runs through it; a lone PolyX product
+    keeps the leaner loop of PolyX.__mul__."""
+    den = lcm(*[d for _, _, d, _ in rows])
     acc = []
-    for a, b in pairs:
+    for w, a, d, b in rows:
+        scale = w * (den // d)
         grow = len(a) + len(b) - 1 - len(acc)
         if grow > 0:
             acc.extend([0] * grow)
         for e, x in enumerate(a):
             if x:
+                if scale != 1:
+                    x *= scale
                 for f, y in enumerate(b, e):
                     acc[f] += x * y
-    return _canon(acc, den)
+    return _canon(acc, den * div)
 
 
 def sum_of_products(terms, div: int = 1) -> "PolyX":
     """The PolyX (sum of w * p * q) / div over the (w, p, q) in `terms`,
-    for nonzero int weights w, PolyX p, q and a positive int div.  Each
-    product is scaled onto the lcm of the pair denominators p.den * q.den,
-    so the sum is int arithmetic reduced once (see _int_dot); a sum with
-    no nonzero product is P_ZERO without a kernel call."""
-    terms = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms
-             if p.num and q.num]
-    if not terms:
-        return P_ZERO
-    den = lcm(*[d for _, _, _, d in terms])
-    pairs = []
-    for w, a, b, d in terms:
-        scale = w * (den // d)
-        pairs.append(([scale * c for c in a] if scale != 1 else a, b))
-    return _int_dot(pairs, den * div)
+    for nonzero int weights w, PolyX p, q and a positive int div: one
+    _int_dot row per nonzero product, so the sum lives over the lcm of
+    its own pair denominators p.den * q.den.  A sum with no nonzero
+    product is P_ZERO without a kernel call."""
+    rows = [(w, p.num, p.den * q.den, q.num) for w, p, q in terms
+            if p.num and q.num]
+    return _int_dot(rows, div) if rows else P_ZERO
 
 
 def linear_combination(terms, size: int) -> list:
     """[sum of w * f[k] over the (w, f) in `terms`] for k < size, with
     PolyX weights w and sequences f of PolyX (zero past their end).  Each
-    entry with a nonzero product is one _int_dot over the lcm of its
-    pairs' denominators, reduced once; any other entry is P_ZERO."""
+    entry with a nonzero product is one _int_dot over its own rows, built
+    directly from the weights' numerators, so it lives over the lcm of
+    its own pair denominators; any other entry is P_ZERO."""
     rows = [[] for _ in range(size)]
     for w, f in terms:
         num, den = w.num, w.den
         if num:
             for row, c in zip(rows, f):
                 if c.num:
-                    row.append((num, den * c.den, c.num))
-    out = []
-    for row in rows:
-        if not row:
-            out.append(P_ZERO)
-            continue
-        den = lcm(*[d for _, d, _ in row])
-        out.append(_int_dot(
-            [(num if d == den else [c * (den // d) for c in num], b)
-             for num, d, b in row], den))
-    return out
-
-
-def _lift(polys):
-    """The numerators of `polys` over their common denominator, and that
-    denominator."""
-    den = lcm(*[p.den for p in polys])
-    return [p.num if p.den == den else [c * (den // p.den) for c in p.num]
-            for p in polys], den
+                    row.append((1, num, den * c.den, c.num))
+    return [_int_dot(row, 1) if row else P_ZERO for row in rows]
 
 
 def _prefix(known) -> list:
@@ -460,22 +448,16 @@ class SeriesT:
     def mul(self, other: "SeriesT", known: "SeriesT" = None) -> "SeriesT":
         """The product self * other.  `known`, a truncation of it, gives
         its coefficients below known.order; only the rest are computed."""
-        # Over one common denominator per factor, each product
-        # coefficient is an int convolution reduced once; a coefficient
-        # with no nonzero pair is P_ZERO.
+        # c_k = f_0 g_k + ... + f_k g_0 over the nonzero f_i, each sum
+        # over its own pair denominators (see sum_of_products).
         n = min(self.order, other.order)
+        f, g = self.coeffs, other.coeffs
+        nonzero = [i for i in range(n) if f[i]]
         out = _prefix(known)
-        a, da = _lift(self.coeffs[:n])
-        b, db = (a, da) if other is self else _lift(other.coeffs[:n])
-        nonzero_a = [i for i in range(n) if a[i]]
         for k in range(len(out), n):
-            pairs = []
-            for i in nonzero_a:
-                if i > k:
-                    break
-                if b[k - i]:
-                    pairs.append((a[i], b[k - i]))
-            out.append(_int_dot(pairs, da * db) if pairs else P_ZERO)
+            out.append(sum_of_products(
+                [(1, f[i], g[k - i])
+                 for i in nonzero[:bisect_right(nonzero, k)]]))
         return _series(out, n)
 
     __rmul__ = __mul__

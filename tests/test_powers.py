@@ -157,9 +157,9 @@ def kernel_work(monkeypatch, orders):
     work = [0]
     int_dot = rings._int_dot
 
-    def spy(pairs, den):
-        work[0] += sum(len(a) * len(b) for a, b in pairs)
-        return int_dot(pairs, den)
+    def spy(rows, div):
+        work[0] += sum(len(a) * len(b) for _, a, _, b in rows)
+        return int_dot(rows, div)
 
     with monkeypatch.context() as m:
         m.setattr(rings, "_int_dot", spy)

@@ -547,3 +547,41 @@ def test_no_structural_zero_reaches_the_kernel(monkeypatch, capsys):
         immersed.derive_immersed(*cell)
     capsys.readouterr()
     assert calls[0] and not empty
+
+
+def received_ints(value):
+    """Every int inside the (possibly nested) arguments of a call."""
+    if isinstance(value, int):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from received_ints(v)
+
+
+def test_series_product_denominator_reaches_no_lower_coefficient(
+        monkeypatch):
+    """f's one large denominator, 3^40 at t^5, enters the kernel only
+    for product coefficients that contain f_5: t^0..t^4 are summed over
+    their own pair denominators."""
+    from sphere_calculus import rings
+
+    big = 3 ** 40
+    f = SeriesT([1 + X, X / 5, X * X + rat(1, 7), X - 1, PolyX.const(
+        rat(2, 11)), X / big, X + rat(1, 2), PolyX.const(rat(1, 5))], 8)
+    g = SeriesT([1 - X, PolyX.const(rat(1, 2)), X / 7, X * X,
+                 PolyX.const(rat(4, 5)), X + 1, X / 10, X / 2], 8)
+    want = naive_product(f, g)
+    assert len(set(want)) == len(want) and all(want)
+    int_dot, seen = rings._int_dot, []
+
+    def spy(*args, **kwargs):
+        out = int_dot(*args, **kwargs)
+        seen.append((want.index(out), [v for v in received_ints(
+            (args, list(kwargs.values()))) if v and v % big == 0]))
+        return out
+
+    monkeypatch.setattr(rings, "_int_dot", spy)
+    assert list(f.mul(g).coeffs) == want
+    assert sorted(k for k, _ in seen) == list(range(8))
+    for k, carrying in seen:
+        assert bool(carrying) == (k >= 5), k

@@ -1,6 +1,6 @@
 """Blowup power series from Weierstrass data.
 
-Builds the series B, S, Delta, Q, q used by the blowup calculus,
+Builds the series B, S, Delta, Q, q, Q' used by the blowup calculus,
 machine-checks the identities they satisfy, and owns the products of
 them the rest of the calculus multiplies: the q-basis weight_series
 B^(-a) (2-xq)^(-s) Q^i Q'^j q^k and its triangular solver against
@@ -14,14 +14,16 @@ symmetric sum of products computed by rings.sum_of_products, and
     S = exp(-t^2 x/6) * sigma(t),
     B = exp(-t^2 x/6) * sigma3(t),   sigma3 = sigma * sqrt(p - e3),
 
-with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Each series is
-kept at the deepest order asked for so far; a deeper order extends it in
-place, so each coefficient is computed and checked once per process.
+with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Every memo here
+is a SeriesTable, kept at the deepest order asked for so far and
+extended in place, so each coefficient is computed and checked once per
+process: one holds the blowup series, and one per product of base
+series holds its prefix's product times its last factor.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .rings import (
     P_ONE,
@@ -131,14 +133,13 @@ def blowup_functions(order: int) -> BlowupFunctions:
     shallower one by truncation (see SeriesTable)."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    return _blowup_table().term(0, order)
+    return _blowup_table().at(order)
 
 
 @lru_cache(maxsize=None)
 def _blowup_table():
     work = {}
-    return SeriesTable(
-        lambda order, known: ((build_blowup_functions(order, work),), None))
+    return SeriesTable(lambda order, known: build_blowup_functions(order, work))
 
 
 def build_blowup_functions(order: int, work=None) -> BlowupFunctions:
@@ -194,115 +195,75 @@ def build_blowup_functions(order: int, work=None) -> BlowupFunctions:
 
 
 class SeriesTable:
-    """The terms of one geometric sequence of series, first * ratio^i,
-    all kept at the deepest order asked for so far.  This is the only
+    """One value kept at the deepest order asked for so far: the only
     place that decides whether to extend to an order or truncate to it.
 
-    `build(order, known)` returns (initial terms, ratio) at that order;
-    `known` is what it returned at the table's previous, shallower order
-    (None at first), and it continues those series rather than rebuild
-    them.  Every further term is the one before it times the ratio,
-    appended once.  A deeper order extends every term in place: each
-    product continues from the coefficients it already has, so each
-    coefficient is computed once.  A shallower order is served by the
-    term's `truncate`: the series are exact, so truncating a deeper term
-    gives the same coefficients as building at the shallower order.  A
-    table of one term (no ratio) holds any value with a
-    `truncate(order)`, such as BlowupFunctions.
-    """
+    `build(order, known)` returns the value at that order, continuing
+    `known`, its value at the previous, shallower order (None at first),
+    so each coefficient is computed once.  A shallower order is served by
+    the value's `truncate`, exact as the series are.  A build that
+    raises leaves the table as it was."""
 
     def __init__(self, build):
         self._build = build
         self._order = -1
-        self._known = None
-        self._terms = []
+        self._value = None
 
-    def term(self, i: int, order: int):
-        if i < 0:
-            raise ValueError("term index must be nonnegative")
+    def at(self, order: int):
         if order > self._order:
-            self._extend(order)
-        terms, ratio = self._terms, self._known[1]
-        while len(terms) <= i:
-            terms.append(terms[-1] * ratio)
-        f = terms[i]
+            self._value = self._build(order, self._value)
+            self._order = order
+        f = self._value
         return f if order == self._order else f.truncate(order)
 
-    def _extend(self, order: int):
-        known = self._build(order, self._known)
-        terms = list(known[0])
-        for old in self._terms[len(terms):]:
-            terms.append(terms[-1].mul(known[1], old))
-        self._order, self._known, self._terms = order, known, terms
 
-
-def _powers_of(name: str, order: int, known):
-    """The terms 1, f and the ratio f of the powers of a named series,
-    continuing the f of `known` (see SeriesTable)."""
+def _base(name: str, order: int, known) -> SeriesT:
+    """The blowup series B, S, Delta, Q, q or Qprime at the given order,
+    or Binv = 1/B, inv_2mxq = 1/(2 - xq), continuing the inverse
+    `known`."""
     # Delta and Qprime are one order shorter than the build order.
     bf = blowup_functions(max(8, order + 1))
-    old = known and known[1]
     if name == "Binv":
-        f = bf.B.truncate(order).inverse(old)
-    elif name == "inv_2mxq":
-        f = (2 - bf.q.truncate(order) * PolyX.x()).inverse(old)
-    else:
-        f = getattr(bf, name).truncate(order)
-    return (SeriesT.one(order), f), f
+        return bf.B.truncate(order).inverse(known)
+    if name == "inv_2mxq":
+        return (2 - bf.q.truncate(order) * PolyX.x()).inverse(known)
+    return getattr(bf, name).truncate(order)
 
 
 @lru_cache(maxsize=None)
-def _power_table(name: str) -> SeriesTable:
-    return SeriesTable(partial(_powers_of, name))
-
-
-def series_power(name: str, k: int, order: int) -> SeriesT:
-    """f^k at the given order, for f one of the blowup series B, S,
-    Delta, Q, q, Qprime or Binv = 1/B, inv_2mxq = 1/(2 - xq).
-
-    One table per name holds f^0, f^1, ... at the deepest order asked for
-    so far, each power the one before it times f, extended in place."""
-    return _power_table(name).term(k, order)
-
-
-@lru_cache(maxsize=None)
-def _product_table(factors) -> SeriesTable:
-    """The one-term table of the product of series_power(name, k) over
-    the (name, k) in `factors`: the product of all but the last factor,
-    from its own table, times the last, so that the tables that share a
-    prefix of factors share its product."""
-    *head, (name, k) = factors
+def _table(prefix, name: str) -> SeriesTable:
+    """The product of `prefix`'s series (None: the empty product) and
+    the base series `name`, shared by every product that begins with
+    these factors."""
 
     def build(order, known):
-        f = series_power(name, k, order)
-        if head:
-            f = _product_table(tuple(head)).term(0, order).mul(
-                f, known and known[0][0])
-        return (f,), None
+        if prefix is None:
+            return _base(name, order, known)
+        return prefix.at(order).mul(_table(None, name).at(order), known)
     return SeriesTable(build)
 
 
-@lru_cache(maxsize=None)
-def _weight_table(a: int, s: int, kernel) -> SeriesTable:
-    """The table with first term B^(-a) (2-xq)^(-s) Q^i Q'^j, the product
-    of its nonzero factors, and ratio q."""
-    factors = tuple((name, k) for name, k in (
-        ("B" if a <= 0 else "Binv", abs(a)), ("inv_2mxq", s),
-        ("Q", kernel[0]), ("Qprime", kernel[1])) if k)
-
-    def build(order, known):
-        first = (_product_table(factors).term(0, order) if factors
-                 else SeriesT.one(order))
-        return (first,), series_power("q", 1, order)
-    return SeriesTable(build)
+def product(names, order: int) -> SeriesT:
+    """The product of the base series `names`, factor by factor in that
+    order, at the given order.  The prefix tables are reached shortest
+    first, so each build finds its prefix at the order already and no
+    build recurses down the chain."""
+    f, table = SeriesT.one(order), None
+    for name in names:
+        table = _table(table, name)
+        f = table.at(order)
+    return f
 
 
 def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
     """B^(-a) (2-xq)^(-s) Q^i Q'^j q^k at the given order, kernel (i, j)
     in {0, 1}^2.  By S = QB and Delta = Q'B^2 this holds the model series,
     the embedded basis (both at a = -n, s = 0) and the immersed weights.
-    One table per (a, s, kernel) builds each q^k term once."""
-    return _weight_table(a, s, kernel).term(k, order)
+    The factors come in that order, so each q^k term is the one before
+    it times q."""
+    return product(("B" if a <= 0 else "Binv",) * abs(a) + ("inv_2mxq",) * s
+                   + ("Q",) * kernel[0] + ("Qprime",) * kernel[1]
+                   + ("q",) * k, order)
 
 
 def triangular_solve(weights, parity: int):

@@ -1,7 +1,7 @@
 """Every memo of the engine is an lru_cache, and clearing the caches
 changes no result, whatever order the results are asked for in.  From
-cleared caches, the engine builds no power of S or Delta: the q-basis
-tables multiply B, 1/B, 1/(2-xq), Q, Q' and q only."""
+cleared caches, no product table takes S or Delta as a factor: the
+q-basis products multiply B, 1/B, 1/(2-xq), Q, Q' and q only."""
 
 import sys
 from functools import _lru_cache_wrapper
@@ -36,7 +36,7 @@ def clear_all():
 def derive(orders, embedded_keys, cells):
     return (
         {o: elliptic.blowup_functions(o) for o in orders},
-        {o: elliptic.series_power("B", 3, o) for o in orders},
+        {o: elliptic.product(("B",) * 3, o) for o in orders},
         {key: embedded.derive_embedded(*key) for key in embedded_keys},
         {cell: immersed.derive_immersed(*cell) for cell in cells},
     )
@@ -46,8 +46,7 @@ def test_engine_caches_are_found():
     names = {(t.__module__, t.__name__) for t in engine_caches()}
     assert {
         ("sphere_calculus.elliptic", "blowup_functions"),
-        ("sphere_calculus.elliptic", "_power_table"),
-        ("sphere_calculus.elliptic", "_weight_table"),
+        ("sphere_calculus.elliptic", "_table"),
         ("sphere_calculus.immersed", "derive_immersed"),
         ("sphere_calculus.immersed", "_expansion_coefficients"),
         ("sphere_calculus.immersed", "shift_reduce"),
@@ -69,13 +68,13 @@ def test_clearing_caches_changes_no_result():
 
 def test_no_power_of_s_or_delta_is_built(monkeypatch):
     asked = []
-    series_power = elliptic.series_power
+    base = elliptic._base
 
-    def spy(name, k, order):
+    def spy(name, order, known):
         asked.append(name)
-        return series_power(name, k, order)
+        return base(name, order, known)
 
-    monkeypatch.setattr(elliptic, "series_power", spy)
+    monkeypatch.setattr(elliptic, "_base", spy)
     clear_all()
     assert cli.run(["verify", "--suite", "all"]) == 0
     for cell in CELLS:

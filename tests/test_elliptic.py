@@ -10,6 +10,7 @@ from sphere_calculus.elliptic import (
     IdentityError,
     blowup_functions,
     verify_elliptic_identities,
+    weight_series,
     wp_series,
 )
 from sphere_calculus.rings import PolyX, rat
@@ -79,6 +80,7 @@ def test_order_floor():
 # Oracle C: at the simple-type points x = +-2 the curve degenerates and
 # the blowup series have closed forms (Fintushel-Stern), independent of
 # the Weierstrass recurrence, the square root and the Gaussian factor.
+# The reference side is plain Fraction list arithmetic.
 ORACLE_ORDER = 96
 
 
@@ -88,28 +90,99 @@ def at_x(f, x):
             for p in f.coeffs]
 
 
+def mul(f, g):
+    """The product of two Fraction coefficient lists, truncated to the
+    shorter."""
+    return [sum(f[i] * g[k - i] for i in range(k + 1))
+            for k in range(min(len(f), len(g)))]
+
+
+def inverse(f):
+    g = [1 / Fraction(f[0])]
+    for n in range(1, len(f)):
+        g.append(-sum(f[i] * g[n - i] for i in range(1, n + 1)) / f[0])
+    return g
+
+
+def power(f, n):
+    out = [Fraction(1)] + [Fraction(0)] * (len(f) - 1)
+    for _ in range(n):
+        out = mul(out, f)
+    return out
+
+
+def gaussian(c, order):
+    """exp(c t^2/2) through t^(order-1)."""
+    return [Fraction(c, 2) ** (k // 2) / math.factorial(k // 2)
+            if k % 2 == 0 else Fraction(0) for k in range(order)]
+
+
 def closed_form(gauss_sign, hyperbolic, odd, order):
     """exp(gauss_sign t^2/2) times cosh t, sinh t (hyperbolic) or cos t,
     sin t (odd picks sinh / sin), through t^(order-1)."""
-    gauss = [Fraction(gauss_sign, 2) ** (k // 2) / math.factorial(k // 2)
-             if k % 2 == 0 else 0 for k in range(order)]
     trig = [0] * order
     for k in range(odd, order, 2):
         sign = 1 if hyperbolic or (k // 2) % 2 == 0 else -1
         trig[k] = Fraction(sign, math.factorial(k))
-    return [sum(gauss[i] * trig[k - i] for i in range(k + 1))
-            for k in range(order)]
+    return mul(gaussian(gauss_sign, order), trig)
 
 
-@pytest.mark.parametrize("x, gauss_sign, hyperbolic", [
-    (2, -1, True), (-2, 1, False)])
+# (x, gauss_sign, hyperbolic): B = exp(-t^2/2) cosh t at x = 2 and
+# exp(t^2/2) cos t at x = -2, and S likewise with sinh, sin.
+SIMPLE_TYPE = [(2, -1, True), (-2, 1, False)]
+
+
+def closed_forms(x, gauss_sign, hyperbolic, order):
+    """B, S, Q = tanh t or tan t, q = Q^2, Q' = 1 - (x/2) q (that is
+    sech^2 t or sec^2 t) and Delta = exp(gauss_sign t^2) through
+    t^(order-1)."""
+    B = closed_form(gauss_sign, hyperbolic, 0, order)
+    S = closed_form(gauss_sign, hyperbolic, 1, order)
+    Q = mul(S, inverse(B))
+    q = mul(Q, Q)
+    return {"B": B, "S": S, "Q": Q, "q": q,
+            "Qprime": [int(k == 0) - Fraction(x, 2) * c
+                       for k, c in enumerate(q)],
+            "Delta": gaussian(2 * gauss_sign, order)}
+
+
+@pytest.mark.parametrize("x, gauss_sign, hyperbolic", SIMPLE_TYPE)
 def test_simple_type_closed_forms_at_x_plus_minus_2(x, gauss_sign,
                                                      hyperbolic):
     bf = blowup_functions(ORACLE_ORDER)
-    assert at_x(bf.B, x) == closed_form(gauss_sign, hyperbolic, 0,
-                                        ORACLE_ORDER)
-    assert at_x(bf.S, x) == closed_form(gauss_sign, hyperbolic, 1,
-                                        ORACLE_ORDER)
+    want = closed_forms(x, gauss_sign, hyperbolic, ORACLE_ORDER)
+    for name in ("B", "S", "Q", "q", "Qprime", "Delta"):
+        got = at_x(getattr(bf, name), x)
+        # Delta and Q' are one order shorter than the build order.
+        assert len(got) >= ORACLE_ORDER - 1
+        assert got == want[name][:len(got)], name
+
+
+# The q-basis weights B^(-a) (2-xq)^(-s) Q^i Q'^j q^k at x = +-2 are
+# exp(a t^2/2) cosh^(2s-a) t 2^(-s) tanh^(i+2k) t sech^(2j) t, and the
+# same with cos, tan and exp(-a t^2/2) at x = -2.  The reference builds
+# them from the closed forms above, without the engine's product tables.
+WEIGHT_A = (-12, -7, -4, -1, 0, 1, 3, 8, 12)
+WEIGHT_ORDER = 24
+
+
+@pytest.mark.parametrize("x, gauss_sign, hyperbolic", SIMPLE_TYPE)
+def test_q_basis_weights_match_closed_forms_at_x_plus_minus_2(
+        x, gauss_sign, hyperbolic):
+    f = closed_forms(x, gauss_sign, hyperbolic, WEIGHT_ORDER)
+    Binv = inverse(f["B"])
+    inv_2mxq = inverse([2 * int(k == 0) - x * c
+                        for k, c in enumerate(f["q"])])
+    for a in WEIGHT_A:
+        bpow = power(f["B"], -a) if a <= 0 else power(Binv, a)
+        for s in range(4):
+            head = mul(bpow, power(inv_2mxq, s))
+            for i, j in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                want = mul(head, mul(power(f["Q"], i), power(f["Qprime"], j)))
+                for k in range(4):
+                    got = weight_series(a, s, (i, j), k, WEIGHT_ORDER)
+                    assert at_x(got, x) == want, (a, s, (i, j), k)
+                    want = mul(want, f["q"])
 
 
 @pytest.mark.parametrize("name", ["B", "S", "Delta", "Q", "q", "Qprime"])

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sphere_calculus import elliptic, embedded, immersed, model, rings
-from sphere_calculus.elliptic import (
-    build_blowup_functions,
-    series_power,
-    triangular_solve,
-)
+from sphere_calculus.elliptic import build_blowup_functions, triangular_solve
 from sphere_calculus.immersed import k0_index, k_index
 from sphere_calculus.rings import AlphaPoly, PolyX, factorial, rat
 
@@ -45,10 +41,10 @@ requests = st.lists(
 def test_series_power_matches_plain_power(name, reqs):
     # Fresh tables, so that the drawn orders fall both below and above
     # the order a table was built at.
-    elliptic._power_table.cache_clear()
+    elliptic._table.cache_clear()
     for k, order in reqs:
         want = fresh(order)[name] ** k
-        assert_same(series_power(name, k, want.order), want)
+        assert_same(elliptic.product((name,) * k, want.order), want)
 
 
 KERNELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -69,11 +65,21 @@ def from_scratch_weight(a, s, kernel, i, order):
 @example(-4, 0, (1, 1), [(3, 16), (5, 10), (2, 24)])
 @settings(max_examples=30, deadline=None)
 def test_weight_series_match_from_scratch(a, s, kernel, reqs):
-    elliptic._weight_table.cache_clear()
+    elliptic._table.cache_clear()
     for count, order in reqs:
         for i in range(count):
             assert_same(elliptic.weight_series(a, s, kernel, i, order),
                         from_scratch_weight(a, s, kernel, i, order))
+
+
+def test_long_factor_chains_are_walked_without_recursion():
+    """A weight of 1,800 factors: each prefix table is extended before
+    the next is reached, so no build recurses down the chain."""
+    elliptic._table.cache_clear()
+    assert_same(elliptic.weight_series(-1200, 0, (0, 0), 600, 8),
+                rings.SeriesT.zero(8))
+    assert_same(elliptic.weight_series(-1200, 0, (0, 0), 0, 8),
+                fresh(9)["B"].truncate(8) ** 1200)
 
 
 @given(st.integers(1, 12), st.integers(8, 30), st.data())
@@ -137,14 +143,13 @@ DEEPENED_WEIGHTS = [(-3, 2, (1, 1)), (2, 1, (0, 1)), (0, 0, (1, 0)),
 
 def clear_series_tables():
     for table in (elliptic.blowup_functions, elliptic._blowup_table,
-                  elliptic._power_table, elliptic._product_table,
-                  elliptic._weight_table):
+                  elliptic._table):
         table.cache_clear()
 
 
 def deepened_requests(order):
     return ([elliptic.blowup_functions(order)]
-            + [series_power(name, k, order) for name in NAMES
+            + [elliptic.product((name,) * k, order) for name in NAMES
                for k in range(4)]
             + [elliptic.weight_series(a, s, kernel, i, order)
                for a, s, kernel in DEEPENED_WEIGHTS for i in range(3)])

@@ -18,16 +18,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .elliptic import blowup_functions, triangular_solve, weight_series
-from .model import (
-    moments,
-    sigma_power_insertion_value,
-    sigma_power_value,
-    smb_insertion_series,
-    smb_series,
-)
+from .model import smb_insertion_series, smb_series
 from .record import Record
-from .rings import (P_ONE, P_ZERO, PolyX, SeriesT, linear_combination, rat,
-                    sum_of_products)
+from .rings import (P_ONE, P_ZERO, PolyX, SeriesT, factorial,
+                    linear_combination, rat, sum_of_products)
 
 
 class DerivationError(AssertionError):
@@ -118,14 +112,17 @@ def derive_embedded(n: int, epsilon: int, order: int = None) -> EmbeddedRelation
     return rel
 
 
-def _evaluate(rel: EmbeddedRelation, value, order: int) -> SeriesT:
-    """The relation's right-hand side through `order` with every sigma^p
-    evaluated to the PolyX value(p): the sum over both sides of
-    (sum_p c_i[p] value(p)) times the i-th basis series."""
+def _evaluate(rel: EmbeddedRelation, model: SeriesT, order: int) -> SeriesT:
+    """The relation's right-hand side through `order` in the model whose
+    series is exp(t sigma): every sigma^p evaluates to p! times the t^p
+    coefficient of `model`, and the result is the sum over both sides of
+    (sum_p c_i[p] sigma^p) times the i-th basis series.  The relation
+    holds in the model when the result equals `model`."""
     n, eps = rel.n, rel.epsilon
     pairs = [(c.coeffs, f) for parity, cs in ((0, rel.c), (1, rel.d))
              for c, (_, f) in zip(cs, basis_series(n, eps, parity, order))]
-    values = [value(p) for p in range(max(len(c) for c, _ in pairs))]
+    values = [model[p] * factorial(p)
+              for p in range(max(len(c) for c, _ in pairs))]
     return SeriesT(linear_combination(
         [(sum_of_products([(1, cp, v) for cp, v in zip(c, values)]),
           f.coeffs) for c, f in pairs], order), order)
@@ -142,9 +139,8 @@ def verify_embedded_relation(rel: EmbeddedRelation):
     n, eps, order = rel.n, rel.epsilon, rel.order
     checks = []
 
-    def check(name, lhs, value, m):
-        rhs = _evaluate(rel, lambda p: value(n, m, p, order), order)
-        k = (lhs - rhs).valuation()
+    def check(name, model):
+        k = (model - _evaluate(rel, model, order)).valuation()
         if k >= 0:
             raise DerivationError(
                 "embedded relation n=%d epsilon=%d fails at %s: residual "
@@ -152,20 +148,18 @@ def verify_embedded_relation(rel: EmbeddedRelation):
         checks.append(name)
 
     for m in range(eps, n + 1, 2):
-        check("twists=%d" % m, smb_series(n, m, order), sigma_power_value, m)
+        check("twists=%d" % m, smb_series(n, m, order))
         if 1 <= m <= n - 1:
-            check("twists=%d+insertion" % m, smb_insertion_series(n, m, order),
-                  sigma_power_insertion_value, m)
+            check("twists=%d+insertion" % m, smb_insertion_series(n, m, order))
     return checks
 
 
 def specialize_two_e(rel: EmbeddedRelation, twisted: bool, order: int):
-    """Evaluate the relation at sigma = 2e on a single blowup.
-
-    Every sigma^p becomes 2^p times the p-th B- or S-moment; the result
-    should match B(2t) (untwisted e) or S(2t) (twisted e)."""
-    kind = "S" if twisted else "B"
-    return _evaluate(rel, lambda p: rat(2) ** p * moments(kind, p), order)
+    """Evaluate the relation at sigma = 2e on a single blowup, in the
+    model B(2t) (untwisted e) or S(2t) (twisted e); the result should
+    match that model."""
+    bf = blowup_functions(order)
+    return _evaluate(rel, (bf.S if twisted else bf.B).rescale(2), order)
 
 
 _COR24 = {

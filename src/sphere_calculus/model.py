@@ -1,12 +1,13 @@
-"""Blowup-model values of the twist-count series.
+"""Blowup-model series: the twist-count series and the moments.
 
 On an n-fold blowup with sigma = e_1 + ... + e_n and m of the classes
 twisted, the model evaluates exp(t sigma) to S^m B^(n-m): each class
 contributes B (untwisted) or S (twisted).  The (e_i - e_j) insertion,
 with e_j the twisted class, evaluates to -Delta S^(m-1) B^(n-m-1).
 Both are q-basis terms of elliptic.weight_series, as S = QB and Delta =
-Q'B^2.  Powers of sigma read off the Taylor coefficients of these
-series, and the moments of B and S are the single-class values of e^j.
+Q'B^2.  sigma^p is p! times the t^p coefficient of the model series
+(embedded._evaluate reads it there), and the moments of B and S are the
+single-class values of e^j.
 """
 
 from __future__ import annotations
@@ -39,23 +40,3 @@ def smb_insertion_series(n: int, twist_count: int, order: int) -> SeriesT:
     m = twist_count - 1
     return -weight_series(-n, 0, (m % 2, 1), m // 2, order)
 
-
-def sigma_power_value(n: int, twist_count: int, p: int, order: int) -> PolyX:
-    """Model value of (e_1 + ... + e_n)^p with the given number of twisted
-    classes: p! times the t^p coefficient of S^m B^(n-m)."""
-    if p >= order:
-        raise ValueError("order too small for sigma power")
-    return smb_series(n, twist_count, order)[p] * factorial(p)
-
-
-def sigma_power_insertion_value(
-    n: int, twist_count: int, p: int, order: int
-) -> PolyX:
-    """Model value of (e_1+...+e_n)^p (e_i - e_j) where exactly one of
-    e_i, e_j is twisted (e_j, by convention) among twist_count twisted
-    classes: p! times the t^p coefficient of -Delta S^(m-1) B^(n-m-1)."""
-    if twist_count < 1 or twist_count > n - 1:
-        raise ValueError("insertion needs one twisted and one untwisted class")
-    if p >= order:
-        raise ValueError("order too small")
-    return smb_insertion_series(n, twist_count, order)[p] * factorial(p)

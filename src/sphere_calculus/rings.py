@@ -372,10 +372,6 @@ class SeriesT:
         self.order = order
 
     @staticmethod
-    def zero(order: int) -> "SeriesT":
-        return SeriesT((), order)
-
-    @staticmethod
     def one(order: int) -> "SeriesT":
         return SeriesT((P_ONE,), order)
 
@@ -468,17 +464,6 @@ class SeriesT:
     def shift(self, k: int) -> "SeriesT":
         """Multiply by t^k; the known window moves up with the series."""
         return SeriesT((P_ZERO,) * k + self.coeffs, self.order + k)
-
-    def derivative(self) -> "SeriesT":
-        out = [self.coeffs[i] * i for i in range(1, self.order)]
-        return SeriesT(out, self.order - 1)
-
-    def integral(self) -> "SeriesT":
-        """Formal antiderivative with zero constant term."""
-        out = [P_ZERO] * (self.order + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i + 1] = c * rat(1, i + 1)
-        return SeriesT(out, self.order + 1)
 
     def rescale(self, c) -> "SeriesT":
         """f(t) -> f(c*t)."""

@@ -6,10 +6,11 @@ import pytest
 
 from sphere_calculus import embedded, emit, immersed
 from sphere_calculus.cli import run
-from sphere_calculus.elliptic import triangular_solve
+from sphere_calculus.elliptic import blowup_functions, triangular_solve
 from sphere_calculus.embedded import (
     DerivationError,
     EmbeddedRelation,
+    _evaluate,
     basis_monomials,
     basis_series,
     derive_embedded,
@@ -19,7 +20,8 @@ from sphere_calculus.embedded import (
     verify_embedded_relation,
 )
 from sphere_calculus.immersed import derive_immersed
-from sphere_calculus.rings import AlphaPoly, PolyX, rat
+from sphere_calculus.model import smb_series
+from sphere_calculus.rings import AlphaPoly, PolyX, SeriesT, rat
 
 
 def test_printed_low_n_table():
@@ -137,8 +139,37 @@ def test_basis_monomials_shape():
 def test_double_angle_specialization():
     # sigma = 2e reproduces the double-angle identities of the kernel
     rel = derive_embedded(4, 0)
-    for twisted in (False, True):
-        specialize_two_e(rel, twisted, 16)
+    bf = blowup_functions(16)
+    for twisted, f in ((False, bf.B), (True, bf.S)):
+        got = specialize_two_e(rel, twisted, 16)
+        assert got.order == 16 and got == f.rescale(2)
+
+
+def oracle_a_models(n, epsilon, order):
+    """(name, model series) of sigma = 2e_0 + e_1 + ... + e_(n-4), a class
+    of square -n and parity epsilon, on an (n - 3)-fold blowup: e_0 gives
+    B(2t) or S(2t), whichever its twist, and the m twisted classes among
+    the other n - 4, with m = epsilon mod 2, give S^m B^(n-4-m)."""
+    bf = blowup_functions(order)
+    for m in range(epsilon, n - 3, 2):
+        for e0, f in (("B", bf.B), ("S", bf.S)):
+            yield ("%s(2t) twists=%d" % (e0, m),
+                   f.rescale(2) * smb_series(n - 4, m, order))
+
+
+def test_oracle_a_holds_at_a_second_representative():
+    """Every relation with 4 <= n <= 10 evaluates, at sigma = 2e_0 + e_1
+    + ... + e_(n-4), to that class's model series: a representative with
+    a coefficient 2, unlike the sum of classes the derivation checks."""
+    checked = []
+    for n in range(4, 11):
+        for epsilon in (0, 1):
+            rel = derive_embedded(n, epsilon)
+            for name, model in oracle_a_models(n, epsilon, rel.order):
+                residual = model - _evaluate(rel, model, rel.order)
+                assert residual.valuation() == -1, (n, epsilon, name)
+                checked.append((n, epsilon, name))
+    assert len(checked) == 56
 
 
 def test_relation_shape():
@@ -205,25 +236,29 @@ def test_embedded_json_digest(n, epsilon):
 
 @pytest.fixture
 def planted_model(monkeypatch):
-    """The model value of sigma^1 with one twisted class, plus one: the
-    derived relations no longer agree with the model at twists=1."""
-    true_value = embedded.sigma_power_value
+    """The model series of four classes with one twisted, plus t: the
+    derived n = 4 relations no longer agree with the model at twists=1."""
+    true_series = embedded.smb_series
 
-    def planted(n, twist_count, p, order):
-        value = true_value(n, twist_count, p, order)
-        return value + 1 if (twist_count, p) == (1, 1) else value
+    def planted(n, twist_count, order):
+        series = true_series(n, twist_count, order)
+        if (n, twist_count) == (4, 1):
+            series = series + SeriesT((0, 1), order)
+        return series
 
     caches = (embedded.derive_embedded, immersed.derive_immersed)
     for cache in caches:
         cache.cache_clear()
-    monkeypatch.setattr(embedded, "sigma_power_value", planted)
+    monkeypatch.setattr(embedded, "smb_series", planted)
     yield
     for cache in caches:
         cache.cache_clear()
 
 
 def test_planted_model_disagreement_fails_derivation(planted_model, capsys):
-    message = r"n=4 epsilon=1 fails at twists=1: residual at t\^1$"
+    # sigma^1 reads the planted t^1 coefficient, so the t^1 and t^3 terms
+    # still match and the residual first shows at t^5
+    message = r"n=4 epsilon=1 fails at twists=1: residual at t\^5$"
     with pytest.raises(DerivationError, match=message):
         derive_embedded(4, 1)
     with pytest.raises(DerivationError, match=message):

@@ -237,12 +237,7 @@ def _dispatch(args, order: int) -> str:
 
     if args.command == "finite-type":
         r = finite_type_order(args.p, args.a)
-        if args.format == "json":
-            return emit._dump({
-                "schema": emit.SCHEMA, "kind": "finite-type-order",
-                "p": args.p, "a": args.a, "r": r,
-            })
-        return "r = %d\n" % r
+        return getattr(emit, "finite_type_" + args.format)(args.p, args.a, r)
 
     if args.command == "lens":
         if args.lens_command == "chi":

@@ -14,11 +14,12 @@ symmetric sum of products computed by rings.sum_of_products, and
     S = exp(-t^2 x/6) * sigma(t),
     B = exp(-t^2 x/6) * sigma3(t),   sigma3 = sigma * sqrt(p - e3),
 
-with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Every memo here
-is a SeriesTable, kept at the deepest order asked for so far and
-extended in place, so each coefficient is computed and checked once per
-process: one holds the blowup series, and one per product of base
-series holds its prefix's product times its last factor.
+with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Every series is
+a rings.Series, the one value here that changes: the blowup series are
+one graph of them, and each product of base series is one more, its
+prefix's product times its last factor.  Each grows in place to the
+deepest order asked for, so each coefficient is computed and checked
+once per process.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ from .rings import (
     P_ZERO,
     AlphaPoly,
     PolyX,
+    Series,
     SeriesT,
+    exp,
     factorial,
+    inverse,
+    product as series_product,
     rat,
+    sqrt,
     sum_of_products,
 )
 from .record import Record
@@ -61,60 +67,41 @@ class BlowupFunctions(Record):
 
     __slots__ = ("B", "S", "Delta", "Q", "q", "Qprime", "order")
 
-    def truncate(self, order: int) -> "BlowupFunctions":
-        return BlowupFunctions(
-            B=self.B.truncate(order), S=self.S.truncate(order),
-            Delta=self.Delta.truncate(order - 1), Q=self.Q.truncate(order),
-            q=self.q.truncate(order), Qprime=self.Qprime.truncate(order - 1),
-            order=order,
-        )
 
+def _build() -> dict:
+    """A new graph of Series, by name: wp = z^2 p, B, S, Delta, Q, q,
+    Qprime, Binv = 1/B, inv_2mxq = 1/(2 - xq), and two checks whose
+    coefficients are zero or raise IdentityError: "ode", the Weierstrass
+    ODE of p, and "normalization", B = 1 + O(t^4) even and S = t +
+    O(t^3) odd.  Nothing is computed before it is grown."""
+    x = PolyX.x()
 
-def _wp_laurent_coeffs(order: int, known=None):
-    """Coefficients c_k of p(z) = 1/z^2 + sum_{k>=2} c_k z^{2k-2} for
-    k <= order // 2 + 2, continuing the dict `known` of lower ones."""
-    c = dict(known) if known else {2: G2 * rat(1, 20), 3: G3 * rat(1, 28)}
-    for k in range(max(c) + 1, order // 2 + 3):
+    def laurent_rule(k):
+        # c_k of p(z) = 1/z^2 + sum_{k>=2} c_k z^{2k-2}, zero below k = 2.
+        if k < 2:
+            return P_ZERO
+        if k == 2:
+            return G2 * rat(1, 20)
+        if k == 3:
+            return G3 * rat(1, 28)
         # c_k = 3/((2k+1)(k-3)) * sum_{m=2}^{k-2} c_m c_(k-m), each
         # unordered pair of the symmetric sum taken once with weight 6.
+        c = laurent.coeffs
         terms = [(6, c[m], c[k - m]) for m in range(2, (k + 1) // 2)]
         if k % 2 == 0:
             terms.append((3, c[k // 2], c[k // 2]))
-        c[k] = sum_of_products(terms, (2 * k + 1) * (k - 3))
-    return c
-
-
-def _extend(known, order: int, coeff) -> SeriesT:
-    """The series through t^(order-1) whose coefficients below
-    known.order are those of `known` (None: no coefficient known) and
-    whose t^k coefficient above is coeff(k)."""
-    head = () if known is None else known.coeffs
-    return SeriesT(head + tuple([coeff(k) for k in range(len(head), order)]),
-                   order)
-
-
-def wp_series(order: int, work=None) -> SeriesT:
-    """z^2 * p(z) as a series, verified against the Weierstrass ODE.
-
-    `work`, a dict, keeps the Laurent coefficients and the products the
-    check multiplies out; a deeper call with the same dict continues
-    them, and checks only the coefficients no earlier call checked."""
-    if order < 8:
-        raise ValueError("order must be at least 8")
-    work = {} if work is None else work
-    old = work.get
-    c = _wp_laurent_coeffs(order, old("c"))
-    # u = 1 + sum_{k>=2} c_k z^(2k)
-    u = _extend(old("u"), order, lambda k: P_ONE if k == 0 else
-                P_ZERO if k % 2 else c.get(k // 2, P_ZERO))
+        return sum_of_products(terms, (2 * k + 1) * (k - 3))
+    laurent = Series(laurent_rule)
+    # u = z^2 p = 1 + sum_{k>=2} c_k z^(2k)
+    u = Series(lambda k: P_ONE if k == 0 else
+               P_ZERO if k % 2 else laurent[k // 2])
     # With u = z^2 p, the ODE (p')^2 = 4p^3 - g2 p - g3 times z^6 reads
     # v^2 = 4u^3 - g2 u z^4 - g3 z^6 with v = z u' - 2u.
-    v = _extend(old("v"), order - 1, lambda k: u[k] * (k - 2))
-    v2 = v.mul(v, old("v2"))
-    u2 = u.mul(u, old("u2"))
-    u3 = u2.mul(u, old("u3"))
-    start = old("v2").order if "v2" in work else 0
-    for k in range(start, v2.order):
+    v = Series(lambda k: u[k] * (k - 2))
+    v2 = series_product(v, v)
+    u3 = series_product(series_product(u, u), u)
+
+    def ode_rule(k):
         rhs = 4 * u3[k]
         if k >= 4:
             rhs = rhs - G2 * u[k - 4]
@@ -122,137 +109,104 @@ def wp_series(order: int, work=None) -> SeriesT:
             rhs = rhs - G3
         if v2[k] != rhs:
             raise IdentityError("weierstrass-ode", k, v2[k] - rhs)
-    work.update(c=c, u=u, v=v, v2=v2, u2=u2, u3=u3)
-    return u
+        return P_ZERO
+
+    # p - 1/z^2 = sum u_(k+2) z^k is an honest power series; integrate
+    # twice: zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
+    sigma_over_z = exp(Series(
+        lambda k: u[k] * rat(-1, k * (k - 1)) if k > 1 else P_ZERO))
+    # z^2 (p - e3) has constant term 1; principal square root.
+    sqrt_part = sqrt(Series(lambda k: u[k] - E3 if k == 2 else u[k]))
+    gauss = exp(Series(lambda k: -x * rat(1, 6) if k == 2 else P_ZERO))
+    s_over_t = series_product(gauss, sigma_over_z)
+    B = series_product(s_over_t, sqrt_part)
+    S = Series(lambda k: s_over_t[k - 1] if k else P_ZERO)
+
+    def delta_rule(k):
+        # Delta = S'B - SB' = sum over a + b = k + 1 of (a - b) S_a B_b.
+        s, b = S.grow(k + 2), B.grow(k + 2)
+        return sum_of_products([(2 * i - k - 1, s[i], b[k + 1 - i])
+                                for i in range(k + 2) if 2 * i != k + 1])
+    Delta = Series(delta_rule)
+    inv_sqrt_part = inverse(sqrt_part)
+    Q = Series(lambda k: inv_sqrt_part[k - 1] if k else P_ZERO)
+    q = series_product(Q, Q)
+    Qprime = Series(lambda k: Q[k + 1] * (k + 1))
+
+    def normalization_rule(k):
+        b, s = B[k], S[k]
+        if k < 4 and b != (P_ONE if k == 0 else P_ZERO):
+            raise IdentityError("B-normalization", k, b)
+        if k < 3 and s != (P_ONE if k == 1 else P_ZERO):
+            raise IdentityError("S-normalization", k, s)
+        if k % 2 == 1 and b:
+            raise IdentityError("B-even", k, b)
+        if k % 2 == 0 and s:
+            raise IdentityError("S-odd", k, s)
+        return P_ZERO
+
+    return {"wp": u, "B": B, "S": S, "Delta": Delta, "Q": Q, "q": q,
+            "Qprime": Qprime, "Binv": inverse(B),
+            "inv_2mxq": inverse(Series(
+                lambda k: (2 if k == 0 else 0) - x * q[k])),
+            "ode": Series(ode_rule),
+            "normalization": Series(normalization_rule)}
+
+
+@lru_cache(maxsize=None)
+def _graph() -> dict:
+    """The process's one graph: each coefficient is found once."""
+    return _build()
+
+
+def _grown(graph: dict, order: int) -> BlowupFunctions:
+    """B, S, Delta, Q, q, Q' of `graph` at the given order, served once
+    the Weierstrass ODE is checked through t^(order+2) and the
+    normalization through t^(order-1).  A check that fails keeps every
+    coefficient found before it, each exact, and runs again at the next
+    growth."""
+    # p is checked deeper than the t^(order-1) its integrals need.
+    graph["ode"].grow(order + 3)
+    graph["normalization"].grow(order)
+    return BlowupFunctions(
+        B=graph["B"].at(order), S=graph["S"].at(order),
+        Delta=graph["Delta"].at(order - 1), Q=graph["Q"].at(order),
+        q=graph["q"].at(order), Qprime=graph["Qprime"].at(order - 1),
+        order=order)
 
 
 @lru_cache(maxsize=None)
 def blowup_functions(order: int) -> BlowupFunctions:
-    """B, S, Delta, Q, q, Q' at the given truncation order.  One build
-    extends in place to the deepest order asked for so far and serves a
-    shallower one by truncation (see SeriesTable)."""
+    """B, S, Delta, Q, q, Q' at the given truncation order, checked.
+    Every order is read from the one graph (see _graph), so a deeper
+    order computes and checks only the coefficients no shallower one
+    reached."""
     if order < 8:
         raise ValueError("order must be at least 8")
-    return _blowup_table().at(order)
+    return _grown(_graph(), order)
 
 
 @lru_cache(maxsize=None)
-def _blowup_table():
-    work = {}
-    return SeriesTable(lambda order, known: build_blowup_functions(order, work))
-
-
-def build_blowup_functions(order: int, work=None) -> BlowupFunctions:
-    """Construct B, S, Delta, Q, q, Q' at the given truncation order and
-    check their normalization.
-
-    `work`, a dict, keeps every intermediate series of the build: a call
-    with the same dict at a deeper order extends each of them from its
-    known coefficients, and checks only the new ones.  A check that
-    fails leaves the series it checks as they were."""
-    if order < 8:
-        raise ValueError("order must be at least 8")
-    work = {} if work is None else work
-    # p is built and checked a little deeper than the t^(order-1) its
-    # integrals need.
-    u = wp_series(order + 4, work)
-    old = work.get
-
-    # p - 1/z^2 = sum u_(k+2) z^k is an honest power series; integrate
-    # twice: zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
-    log_sigma_over_z = _extend(
-        old("log_sigma_over_z"), order,
-        lambda k: u[k] * rat(-1, k * (k - 1)) if k > 1 else P_ZERO)
-    sigma_over_z = log_sigma_over_z.exp(old("sigma_over_z"))
-
-    # z^2 (p - e3) has constant term 1; principal square root.
-    shifted = _extend(old("shifted"), order,
-                      lambda k: u[k] - E3 if k == 2 else u[k])
-    sqrt_part = shifted.sqrt(old("sqrt_part"))
-
-    gauss = SeriesT((P_ZERO, P_ZERO, -PolyX.x() * rat(1, 6)),
-                    order).exp(old("gauss"))
-
-    s_over_t = gauss.mul(sigma_over_z, old("s_over_t"))
-    B = s_over_t.mul(sqrt_part, old("B"))
-    S = s_over_t.shift(1).truncate(order)
-
-    # Delta = S'B - SB' = sum over a + b = k + 1 of (a - b) S_a B_b at t^k.
-    Delta = _extend(old("Delta"), order - 1, lambda k: sum_of_products(
-        [(2 * i - k - 1, S[i], B[k + 1 - i]) for i in range(k + 2)
-         if 2 * i != k + 1 and S[i] and B[k + 1 - i]]))
-    inv_sqrt_part = sqrt_part.truncate(order - 1).inverse(old("inv_sqrt_part"))
-    Q = inv_sqrt_part.shift(1)
-    q = Q.mul(Q, old("q"))
-    Qprime = _extend(old("Qprime"), order - 1, lambda k: Q[k + 1] * (k + 1))
-    bf = BlowupFunctions(B=B, S=S, Delta=Delta, Q=Q, q=q, Qprime=Qprime, order=order)
-    _check_normalization(bf, work.get("order", 0))
-    work.update(log_sigma_over_z=log_sigma_over_z, sigma_over_z=sigma_over_z,
-                shifted=shifted, sqrt_part=sqrt_part, gauss=gauss,
-                s_over_t=s_over_t, B=B, Delta=Delta,
-                inv_sqrt_part=inv_sqrt_part, q=q, Qprime=Qprime, order=order)
-    return bf
-
-
-class SeriesTable:
-    """One value kept at the deepest order asked for so far: the only
-    place that decides whether to extend to an order or truncate to it.
-
-    `build(order, known)` returns the value at that order, continuing
-    `known`, its value at the previous, shallower order (None at first),
-    so each coefficient is computed once.  A shallower order is served by
-    the value's `truncate`, exact as the series are.  A build that
-    raises leaves the table as it was."""
-
-    def __init__(self, build):
-        self._build = build
-        self._order = -1
-        self._value = None
-
-    def at(self, order: int):
-        if order > self._order:
-            self._value = self._build(order, self._value)
-            self._order = order
-        f = self._value
-        return f if order == self._order else f.truncate(order)
-
-
-def _base(name: str, order: int, known) -> SeriesT:
-    """The blowup series B, S, Delta, Q, q or Qprime at the given order,
-    or Binv = 1/B, inv_2mxq = 1/(2 - xq), continuing the inverse
-    `known`."""
-    # Delta and Qprime are one order shorter than the build order.
-    bf = blowup_functions(max(8, order + 1))
-    if name == "Binv":
-        return bf.B.truncate(order).inverse(known)
-    if name == "inv_2mxq":
-        return (2 - bf.q.truncate(order) * PolyX.x()).inverse(known)
-    return getattr(bf, name).truncate(order)
-
-
-@lru_cache(maxsize=None)
-def _table(prefix, name: str) -> SeriesTable:
-    """The product of `prefix`'s series (None: the empty product) and
-    the base series `name`, shared by every product that begins with
-    these factors."""
-
-    def build(order, known):
-        if prefix is None:
-            return _base(name, order, known)
-        return prefix.at(order).mul(_table(None, name).at(order), known)
-    return SeriesTable(build)
+def _table(prefix, name: str) -> Series:
+    """The product of `prefix`, a table (None: the empty product), and
+    the base series `name` of the graph, shared by every product that
+    begins with these factors."""
+    base = _graph()[name]
+    return base if prefix is None else series_product(prefix, base)
 
 
 def product(names, order: int) -> SeriesT:
     """The product of the base series `names`, factor by factor in that
-    order, at the given order.  The prefix tables are reached shortest
-    first, so each build finds its prefix at the order already and no
-    build recurses down the chain."""
-    f, table = SeriesT.one(order), None
+    order, at the given order, once the blowup series are checked one
+    order deeper (Delta and Qprime read one coefficient ahead).  The
+    prefix tables are grown shortest first, so each finds its prefix at
+    the order already and no growth recurses down the chain."""
+    blowup_functions(max(8, order + 1))
+    table = None
     for name in names:
         table = _table(table, name)
-        f = table.at(order)
-    return f
+        table.grow(order)
+    return SeriesT.one(order) if table is None else table.at(order)
 
 
 def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
@@ -289,20 +243,6 @@ def _require_zero(residual: SeriesT, name: str):
     for k, coeff in enumerate(residual.coeffs):
         if coeff:
             raise IdentityError(name, k, coeff)
-
-
-def _check_normalization(bf: BlowupFunctions, start: int):
-    """B = 1 + O(t^4) and S = t + O(t^3), and the parity of the t^k
-    coefficients of B and S for k >= start."""
-    if start == 0 and (bf.B[0] != P_ONE or bf.B[1] or bf.B[2] or bf.B[3]):
-        raise IdentityError("B-normalization", 0, bf.B[0])
-    if start == 0 and (bf.S[0] or bf.S[1] != P_ONE or bf.S[2]):
-        raise IdentityError("S-normalization", 1, bf.S[1])
-    for k in range(start, bf.order):
-        if k % 2 == 1 and bf.B[k]:
-            raise IdentityError("B-even", k, bf.B[k])
-        if k % 2 == 0 and bf.S[k]:
-            raise IdentityError("S-odd", k, bf.S[k])
 
 
 def verify_elliptic_identities(bf: BlowupFunctions) -> dict:

@@ -238,6 +238,15 @@ def normal_form_json(nf: NormalForm) -> str:
     })
 
 
+def finite_type_text(p: int, a: int, r: int) -> str:
+    return "r = %d\n" % r
+
+
+def finite_type_json(p: int, a: int, r: int) -> str:
+    return _dump({"schema": SCHEMA, "kind": "finite-type-order",
+                  "p": p, "a": a, "r": r})
+
+
 # ----------------------------------------------------------------- lens
 
 

@@ -11,16 +11,15 @@ row onto the lcm of the rows' d, sums the int convolutions and
 reduces once, so each output coefficient lives over the denominators
 of its own pairs and no other.  sum_of_products builds the rows of one
 coefficient: series products and the exp, sqrt and inverse recurrences
-call it coefficient by coefficient, each from the ones below, so given a
-known truncation of its result (`known`) each computes only the
-coefficients above it; that is how the series tables of `elliptic`
-deepen.  linear_combination builds the rows of every entry of a
-weighted sum of sequences: the polynomial product of RingPoly,
-RingPoly.combination and the engine's exact linear combinations.  An
-entry or coefficient with no nonzero product is zero without a kernel
-call.
-Every container here is immutable after construction; all operations
-return new values.
+call it coefficient by coefficient, each from the ones below, as the
+rules of Series, a power series grown on demand; that is how every
+series of `elliptic` deepens.  linear_combination builds the rows of
+every entry of a weighted sum of sequences: the polynomial product of
+RingPoly, RingPoly.combination and the engine's exact linear
+combinations.  An entry or coefficient with no nonzero product is zero
+without a kernel call.
+Every container here is immutable after construction, except Series,
+which grows in place; all other operations return new values.
 """
 
 from __future__ import annotations
@@ -340,17 +339,21 @@ def linear_combination(terms, size: int) -> list:
     return [_int_dot(row, 1) if row else P_ZERO for row in rows]
 
 
-def _prefix(known) -> list:
-    """The known coefficients a product or recurrence continues from."""
-    return [] if known is None else list(known.coeffs)
-
-
 def _series(coeffs, order: int) -> "SeriesT":
     """The series with exactly `order` PolyX coefficients `coeffs`."""
     f = _new(SeriesT)
     f.coeffs = tuple(coeffs)
     f.order = order
     return f
+
+
+def _product_coefficients(f, nonzero, g, ks) -> list:
+    """The t^k coefficients f_0 g_k + ... + f_k g_0 of a product, k in
+    `ks`, each over the nonzero f_i (indices ascending in `nonzero`) and
+    its own pair denominators (see sum_of_products)."""
+    return [sum_of_products([(1, f[i], g[k - i])
+                             for i in nonzero[:bisect_right(nonzero, k)]])
+            for k in ks]
 
 
 class SeriesT:
@@ -435,35 +438,20 @@ class SeriesT:
 
     def __mul__(self, other):
         if isinstance(other, SeriesT):
-            return self.mul(other)
+            n = min(self.order, other.order)
+            f, g = self.coeffs, other.coeffs
+            nonzero = [i for i in range(n) if f[i]]
+            return _series(_product_coefficients(f, nonzero, g, range(n)),
+                           n)
         if isinstance(other, _RAT_TYPES) or isinstance(other, PolyX):
             p = _as_polyx(other)
             return _series([c * p for c in self.coeffs], self.order)
         return NotImplemented
 
-    def mul(self, other: "SeriesT", known: "SeriesT" = None) -> "SeriesT":
-        """The product self * other.  `known`, a truncation of it, gives
-        its coefficients below known.order; only the rest are computed."""
-        # c_k = f_0 g_k + ... + f_k g_0 over the nonzero f_i, each sum
-        # over its own pair denominators (see sum_of_products).
-        n = min(self.order, other.order)
-        f, g = self.coeffs, other.coeffs
-        nonzero = [i for i in range(n) if f[i]]
-        out = _prefix(known)
-        for k in range(len(out), n):
-            out.append(sum_of_products(
-                [(1, f[i], g[k - i])
-                 for i in nonzero[:bisect_right(nonzero, k)]]))
-        return _series(out, n)
-
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         return _power(self, n, SeriesT.one(self.order))
-
-    def shift(self, k: int) -> "SeriesT":
-        """Multiply by t^k; the known window moves up with the series."""
-        return SeriesT((P_ZERO,) * k + self.coeffs, self.order + k)
 
     def rescale(self, c) -> "SeriesT":
         """f(t) -> f(c*t)."""
@@ -475,56 +463,123 @@ class SeriesT:
             power *= c
         return SeriesT(out, self.order)
 
-    def inverse(self, known: "SeriesT" = None) -> "SeriesT":
-        """Multiplicative inverse; requires an invertible constant term.
-        `known` is as in `mul`."""
-        if self.order == 0 or not self.coeffs[0].is_unit():
-            raise ValueError("series not a unit")
-        # g_n = -(f_1 g_(n-1) + ... + f_n g_0) / f_0, f_0 = c / d.
-        f = self.coeffs
-        (c,), d = f[0].num, f[0].den
-        w, div = (-d, c) if c > 0 else (d, -c)
-        nonzero = [i for i in range(1, self.order) if f[i]]
-        out = _prefix(known) or [P_ONE / f[0]]
-        for n in range(len(out), self.order):
-            out.append(sum_of_products(
-                [(w, f[i], out[n - i]) for i in nonzero if i <= n], div))
-        return _series(out, self.order)
-
-    def sqrt(self, known: "SeriesT" = None) -> "SeriesT":
-        """Principal square root; requires constant term 1.  `known` is
-        as in `mul`."""
-        if self.order == 0 or self.coeffs[0] != P_ONE:
-            raise ValueError("series sqrt requires constant term 1")
-        # g_n = (f_n - sum_{0<i<n} g_i g_(n-i)) / 2, each unordered pair
-        # of the symmetric sum taken once with weight 2.
-        out = _prefix(known) or [P_ONE]
-        for n in range(len(out), self.order):
-            terms = [(-2, out[i], out[n - i]) for i in range(1, (n + 1) // 2)
-                     if out[i] and out[n - i]]
-            if n % 2 == 0:
-                terms.append((-1, out[n // 2], out[n // 2]))
-            terms.append((1, self.coeffs[n], P_ONE))
-            out.append(sum_of_products(terms, 2))
-        return _series(out, self.order)
-
-    def exp(self, known: "SeriesT" = None) -> "SeriesT":
-        """exp of a series with zero constant term.  `known` is as in
-        `mul`."""
-        if self.order > 0 and self.coeffs[0]:
-            raise ValueError("series exp requires zero constant term")
-        # g' = f' g determines g coefficient by coefficient:
-        # g_n = (1 f_1 g_(n-1) + ... + n f_n g_0) / n.
-        f = self.coeffs
-        nonzero = [i for i in range(1, self.order) if f[i]]
-        out = _prefix(known) or [P_ONE]
-        for n in range(len(out), self.order):
-            out.append(sum_of_products(
-                [(i, f[i], out[n - i]) for i in nonzero if i <= n], n))
-        return SeriesT(out, self.order)
-
     def __repr__(self):
         return "SeriesT(%r, order=%d)" % (list(self.coeffs), self.order)
+
+
+class Series:
+    """A power series in t grown on demand (M. D. McIlroy, "Power
+    series, power serious", J. Functional Programming 9, 1999).
+
+    `rule(k)` gives the PolyX coefficient of t^k from the coefficients
+    below it, of this series and of those it reads, which it grows
+    first.  `coeffs` lists the coefficients found so far and `nonzero`
+    the indices of the nonzero ones; `grow(order)` extends both in place
+    through t^(order-1), so each rule runs once per coefficient.  A rule
+    that raises leaves the coefficients below it, and is asked again."""
+
+    __slots__ = ("rule", "coeffs", "nonzero")
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.coeffs = []
+        self.nonzero = []
+
+    def grow(self, order: int) -> list:
+        """The coefficient list, grown through t^(order-1)."""
+        coeffs = self.coeffs
+        k = len(coeffs)
+        while k < order:
+            c = self.rule(k)
+            if c:
+                self.nonzero.append(k)
+            coeffs.append(c)
+            k += 1
+        return coeffs
+
+    def __getitem__(self, k: int) -> PolyX:
+        return self.grow(k + 1)[k]
+
+    def at(self, order: int) -> SeriesT:
+        """The truncation through t^(order-1), grown to it first."""
+        return _series(self.grow(order)[:order], order)
+
+
+def product(f: Series, g: Series) -> Series:
+    """The product f g, summed over the nonzero f_i only."""
+    fc, gc, nonzero = f.coeffs, g.coeffs, f.nonzero
+
+    def rule(k):
+        f.grow(k + 1)
+        g.grow(k + 1)
+        return _product_coefficients(fc, nonzero, gc, (k,))[0]
+    return Series(rule)
+
+
+def inverse(f: Series) -> Series:
+    """1/f; growing it raises ValueError unless f_0 is a nonzero
+    constant."""
+    fc, nonzero = f.coeffs, f.nonzero
+
+    def rule(n):
+        f.grow(n + 1)
+        f0 = fc[0]
+        if n == 0:
+            if not f0.is_unit():
+                raise ValueError("series not a unit")
+            return P_ONE / f0
+        # g_n = -(f_1 g_(n-1) + ... + f_n g_0) / f_0, f_0 = c / d, over
+        # the nonzero f_i; nonzero[0] is 0.
+        (c,), d = f0.num, f0.den
+        w, div = (-d, c) if c > 0 else (d, -c)
+        out = g.coeffs
+        return sum_of_products(
+            [(w, fc[i], out[n - i])
+             for i in nonzero[1:bisect_right(nonzero, n)]], div)
+    g = Series(rule)
+    return g
+
+
+def sqrt(f: Series) -> Series:
+    """The principal square root of f; growing it raises ValueError
+    unless f_0 = 1."""
+
+    def rule(n):
+        fn = f[n]
+        if n == 0:
+            if fn != P_ONE:
+                raise ValueError("series sqrt requires constant term 1")
+            return P_ONE
+        # g_n = (f_n - sum_{0<i<n} g_i g_(n-i)) / 2, each unordered pair
+        # of the symmetric sum taken once with weight 2.
+        out = g.coeffs
+        terms = [(-2, out[i], out[n - i]) for i in range(1, (n + 1) // 2)]
+        if n % 2 == 0:
+            terms.append((-1, out[n // 2], out[n // 2]))
+        terms.append((1, fn, P_ONE))
+        return sum_of_products(terms, 2)
+    g = Series(rule)
+    return g
+
+
+def exp(f: Series) -> Series:
+    """exp(f); growing it raises ValueError unless f_0 = 0."""
+    fc, nonzero = f.coeffs, f.nonzero
+
+    def rule(n):
+        f.grow(n + 1)
+        if n == 0:
+            if fc[0]:
+                raise ValueError("series exp requires zero constant term")
+            return P_ONE
+        # g' = f' g determines g coefficient by coefficient:
+        # g_n = (1 f_1 g_(n-1) + ... + n f_n g_0) / n.
+        out = g.coeffs
+        return sum_of_products(
+            [(i, fc[i], out[n - i])
+             for i in nonzero[:bisect_right(nonzero, n)]], n)
+    g = Series(rule)
+    return g
 
 
 class RingPoly:

@@ -68,13 +68,13 @@ def test_clearing_caches_changes_no_result():
 
 def test_no_power_of_s_or_delta_is_built(monkeypatch):
     asked = []
-    base = elliptic._base
+    table = elliptic._table
 
-    def spy(name, order, known):
+    def spy(prefix, name):
         asked.append(name)
-        return base(name, order, known)
+        return table(prefix, name)
 
-    monkeypatch.setattr(elliptic, "_base", spy)
+    monkeypatch.setattr(elliptic, "_table", spy)
     clear_all()
     assert cli.run(["verify", "--suite", "all"]) == 0
     for cell in CELLS:

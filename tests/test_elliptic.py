@@ -8,22 +8,36 @@ import pytest
 from sphere_calculus.elliptic import (
     G2,
     IdentityError,
+    _build,
     blowup_functions,
     verify_elliptic_identities,
     weight_series,
-    wp_series,
 )
 from sphere_calculus.rings import PolyX, rat
 
 X = PolyX.x()
 
 
-def test_wp_ode_checked_on_construction():
-    u = wp_series(16)
+def test_wp_ode_checked_on_construction(monkeypatch):
+    from sphere_calculus import elliptic
+
+    graph = _build()
+    graph["ode"].grow(16)
+    u = graph["wp"]
+    # The check grew z^2 p through t^15 to read it.
+    assert len(u.coeffs) >= 16
     assert u[0] == PolyX.const(1)
     assert u[1] == PolyX() and u[2] == PolyX() and u[3] == PolyX()
     # first Laurent coefficient c_2 = g2/20
     assert u[4] == G2 * rat(1, 20)
+    # Against a g2 the series was not built from, the check fails at
+    # t^4, the first power g2 enters.
+    graph = _build()
+    graph["wp"].grow(16)
+    monkeypatch.setattr(elliptic, "G2", G2 + 1)
+    with pytest.raises(IdentityError) as err:
+        graph["ode"].grow(16)
+    assert (err.value.name, err.value.degree) == ("weierstrass-ode", 4)
 
 
 def test_normalizations():

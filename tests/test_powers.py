@@ -7,22 +7,27 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sphere_calculus import elliptic, embedded, immersed, model, rings
-from sphere_calculus.elliptic import build_blowup_functions, triangular_solve
+from sphere_calculus.elliptic import triangular_solve
 from sphere_calculus.immersed import k0_index, k_index
 from sphere_calculus.rings import AlphaPoly, PolyX, factorial, rat
 
 NAMES = ("B", "S", "Delta", "Binv", "q", "inv_2mxq")
 
 
+def inverted(f):
+    """1/f for a SeriesT f, by the rings recurrence from scratch."""
+    return rings.inverse(rings.Series(f.coeffs.__getitem__)).at(f.order)
+
+
 @lru_cache(maxsize=None)
 def fresh(order):
-    """The blowup series built from scratch at `order`, with Binv and
-    inv_2mxq formed directly."""
-    bf = build_blowup_functions(order)
+    """The blowup series of a new graph, grown and checked at `order`
+    alone, with Binv and inv_2mxq formed directly."""
+    bf = elliptic._grown(elliptic._build(), order)
     named = {name: getattr(bf, name) for name in ("B", "S", "Delta", "Q",
                                                   "q", "Qprime")}
-    named["Binv"] = bf.B.inverse()
-    named["inv_2mxq"] = (2 - bf.q * PolyX.x()).inverse()
+    named["Binv"] = inverted(bf.B)
+    named["inv_2mxq"] = inverted(2 - bf.q * PolyX.x())
     return named
 
 
@@ -128,7 +133,7 @@ def test_triangular_solve_reproduces_universal_coefficients(a, s):
 
 def test_truncated_blowup_functions_match_fresh_builds():
     elliptic.blowup_functions.cache_clear()
-    elliptic._blowup_table.cache_clear()
+    elliptic._graph.cache_clear()
     elliptic.blowup_functions(40)
     for order in range(8, 41):
         got = elliptic.blowup_functions(order)
@@ -142,7 +147,7 @@ DEEPENED_WEIGHTS = [(-3, 2, (1, 1)), (2, 1, (0, 1)), (0, 0, (1, 0)),
 
 
 def clear_series_tables():
-    for table in (elliptic.blowup_functions, elliptic._blowup_table,
+    for table in (elliptic.blowup_functions, elliptic._graph,
                   elliptic._table):
         table.cache_clear()
 
@@ -156,25 +161,31 @@ def deepened_requests(order):
 
 
 def kernel_work(monkeypatch, orders):
-    """The requests of each order in turn from cleared tables, and the
-    int multiplications _int_dot did for them."""
+    """The requests of each order in turn from cleared tables, the int
+    multiplications _int_dot did for them, and the PolyX.__bool__ calls
+    they made."""
     clear_series_tables()
-    work = [0]
-    int_dot = rings._int_dot
+    work, tests = [0], [0]
+    int_dot, is_nonzero = rings._int_dot, rings.PolyX.__bool__
 
     def spy(rows, div):
         work[0] += sum(len(a) * len(b) for _, a, _, b in rows)
         return int_dot(rows, div)
 
+    def bool_spy(p):
+        tests[0] += 1
+        return is_nonzero(p)
+
     with monkeypatch.context() as m:
         m.setattr(rings, "_int_dot", spy)
+        m.setattr(rings.PolyX, "__bool__", bool_spy)
         got = {order: deepened_requests(order) for order in orders}
-    return got, work[0]
+    return got, work[0], tests[0]
 
 
 def test_ascending_deepening_matches_fresh_builds_at_the_cost_of_one(
         monkeypatch):
-    got, ascending = kernel_work(monkeypatch, range(8, 41))
+    got, ascending, ascending_tests = kernel_work(monkeypatch, range(8, 41))
     for order, (bf, *rest) in got.items():
         for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
             assert_same(getattr(bf, name), fresh(order)[name])
@@ -186,13 +197,17 @@ def test_ascending_deepening_matches_fresh_builds_at_the_cost_of_one(
                 [w + (i,) for w in DEEPENED_WEIGHTS for i in range(3)],
                 weights):
             assert_same(f, from_scratch_weight(a, s, kernel, i, order))
-    _, one_build = kernel_work(monkeypatch, [40])
+    _, one_build, one_build_tests = kernel_work(monkeypatch, [40])
     # Extending continues every product and recurrence where the last
     # order left it, so the 33 orders cost what the deepest alone does:
     # the two counts are equal, and the 5 % slack leaves room for a first
     # build that groups its products differently.  Rebuilding the tables
-    # at each order costs about 6.6 times one build here.
+    # at each order costs about 6.6 times one build here.  The nonzero
+    # tests count the bookkeeping around the kernel: a continuation that
+    # scanned its factors afresh at each order would make several times
+    # those of one build.
     assert ascending <= 1.05 * one_build
+    assert ascending_tests <= 1.05 * one_build_tests
 
 
 def test_deepening_checks_every_new_coefficient(monkeypatch):
@@ -208,7 +223,21 @@ def test_deepening_checks_every_new_coefficient(monkeypatch):
             elliptic.blowup_functions(24)
     assert err.value.name == "weierstrass-ode"
     assert err.value.degree >= 16
-    # The failed extension left the table as it was.
+    # The failed extension kept only exact coefficients: growing again
+    # with the right g2 matches a fresh build.
     bf = elliptic.blowup_functions(24)
     for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
         assert_same(getattr(bf, name), fresh(24)[name])
+
+
+def test_no_product_is_served_past_the_checked_order(monkeypatch):
+    """A product at a new order is served only after the blowup series
+    are checked for it: with a wrong g2 past t^16, the first weight read
+    at order 24 fails the Weierstrass ODE check."""
+    clear_series_tables()
+    elliptic.blowup_functions(16)
+    with monkeypatch.context() as m:
+        m.setattr(elliptic, "G2", elliptic.G2 + 1)
+        with pytest.raises(elliptic.IdentityError) as err:
+            elliptic.weight_series(-2, 0, (0, 1), 0, 24)
+    assert err.value.name == "weierstrass-ode"

@@ -10,12 +10,17 @@ from sphere_calculus.rings import (
     AlphaPoly,
     PolyX,
     QPoly,
+    Series,
     SeriesT,
     _power,
+    exp,
     factorial,
+    inverse,
     linear_combination,
+    product,
     rat,
     rat_to_str,
+    sqrt,
 )
 
 rationals = st.builds(
@@ -54,13 +59,19 @@ def test_polyx_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
+def lazy(f):
+    """The SeriesT f as a Series whose rule reads its coefficients."""
+    return Series(f.coeffs.__getitem__)
+
+
 def test_series_inverse_and_sqrt():
     one = SeriesT.one(10)
-    f = one + one.shift(1).truncate(10)  # 1 + t
-    g = f.inverse()
+    f = SeriesT([1, 1], 10)  # 1 + t
+    g = inverse(lazy(f)).at(10)
     assert (f * g - one).is_zero()
-    h = (one + one.shift(2).truncate(10)).sqrt()
-    assert (h * h - (one + one.shift(2).truncate(10))).is_zero()
+    f = SeriesT([1, 0, 1], 10)  # 1 + t^2
+    h = sqrt(lazy(f)).at(10)
+    assert (h * h - f).is_zero()
 
 
 POWER_BASES = [
@@ -106,8 +117,7 @@ def test_power_takes_fewest_products(n):
 
 
 def test_series_exp_integral():
-    one = SeriesT.one(8)
-    e = one.shift(1).truncate(8).exp()  # exp(t)
+    e = exp(lazy(SeriesT([0, 1], 8))).at(8)  # exp(t)
     for j in range(8):
         assert e[j] == PolyX.const(rat(1) / factorial(j))
 
@@ -362,7 +372,7 @@ EXAMPLE_TAIL = [X / 5, X * X - rat(1, 3), PolyX(), X / 720]
 @settings(max_examples=120, deadline=None)
 def test_series_inverse_matches_per_coefficient_reference(c, tail):
     f = SeriesT([c] + tail, len(tail) + 1)
-    got = f.inverse()
+    got = inverse(lazy(f)).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_inverse(f))
     same_coefficients((f * got).coeffs, SeriesT.one(f.order).coeffs)
@@ -372,7 +382,7 @@ def test_series_inverse_matches_per_coefficient_reference(c, tail):
 @settings(max_examples=120, deadline=None)
 def test_series_sqrt_matches_per_coefficient_reference(tail):
     f = SeriesT([PolyX.const(1)] + tail, len(tail) + 1)
-    got = f.sqrt()
+    got = sqrt(lazy(f)).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_sqrt(f))
     same_coefficients((got * got).coeffs, f.coeffs)
@@ -382,27 +392,28 @@ def test_series_sqrt_matches_per_coefficient_reference(tail):
 @settings(max_examples=120, deadline=None)
 def test_series_exp_matches_per_coefficient_reference(tail):
     f = SeriesT([PolyX()] + tail, len(tail) + 1)
-    got = f.exp()
+    got = exp(lazy(f)).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_exp(f))
 
 
 def test_wp_series_matches_per_coefficient_reference():
-    from sphere_calculus.elliptic import _wp_laurent_coeffs, wp_series
+    from sphere_calculus.elliptic import _build
 
     want = ref_wp_laurent(48)
+    expect = [PolyX.const(1)] + [PolyX()] * 47
+    for k in range(2, 24):
+        expect[2 * k] = want[k]
+    # z^2 p grown one order at a time, and from a new graph at each of
+    # a few orders, with the Weierstrass ODE checked through each.
+    graph = _build()
     for order in range(8, 49):
-        got = _wp_laurent_coeffs(order)
-        assert sorted(got) == list(range(2, order // 2 + 3))
-        same_coefficients([got[k] for k in sorted(got)],
-                          [want[k] for k in sorted(got)])
+        graph["ode"].grow(order)
+        same_coefficients(graph["wp"].at(order).coeffs, expect[:order])
     for order in (8, 9, 16, 25, 32, 48):
-        u = wp_series(order)
-        expect = [PolyX.const(1)] + [PolyX()] * (order - 1)
-        for k in range(2, order // 2 + 3):
-            if 2 * k < order:
-                expect[2 * k] = want[k]
-        same_coefficients(u.coeffs, expect)
+        graph = _build()
+        same_coefficients(graph["wp"].at(order).coeffs, expect[:order])
+        graph["ode"].grow(order)
 
 
 # Per-term references for the sequence kernel, one PolyX product, sum
@@ -517,12 +528,60 @@ def test_series_product_skips_zero_coefficients_exactly(fa, sa, fb, sb, cut):
     f, g = shaped(fa, sa), shaped(fb, sb)
     want = naive_product(f, g)
     n = len(want)
-    known = SeriesT(want[:min(cut, n)], min(cut, n))
-    for got in (f.mul(g), f.mul(g, known)):
+    # The product rule continued from a growth that stopped at `cut`.
+    continued = product(lazy(f), lazy(g))
+    continued.grow(min(cut, n))
+    for got in (f * g, continued.at(n)):
         assert got.order == n
         assert canonical_pairs(got.coeffs) == canonical_pairs(want)
-    assert canonical_pairs(f.mul(f).coeffs) == canonical_pairs(
+    assert canonical_pairs((f * f).coeffs) == canonical_pairs(
         naive_product(f, f))
+
+
+def counted(rule, log):
+    """`rule`, appending each index it is asked for to `log`."""
+    def counting(k):
+        log.append(k)
+        return rule(k)
+    return counting
+
+
+@given(st.lists(wide_polys, min_size=1, max_size=9), shapes,
+       st.lists(wide_polys, min_size=1, max_size=9), shapes,
+       wide_rationals.filter(bool),
+       st.lists(st.integers(0, 9), max_size=4).map(sorted))
+@example([X, X / 3, 1 - X, X * X], "even", [X / 7, PolyX(), X], "dense",
+         rat(-3, 7), [0, 2, 2, 3])
+@settings(max_examples=100, deadline=None)
+def test_series_grown_in_steps_matches_one_growth_and_references(
+        fa, sa, fb, sb, c, orders):
+    """Each Series rule, grown through ascending orders, runs once per
+    coefficient, and ends where one growth to the last order and the
+    per-coefficient references end."""
+    f, g = shaped(fa, sa), shaped(fb, sb)
+    tail = list(f.coeffs[1:])
+    unit, one, zero = (SeriesT([c0] + tail, f.order)
+                       for c0 in (PolyX.const(c), PolyX.const(1), PolyX()))
+    cases = [(product, (f, g), naive_product(f, g)),
+             (inverse, (unit,), ref_inverse(unit)),
+             (sqrt, (one,), ref_sqrt(one)),
+             (exp, (zero,), ref_exp(zero))]
+    for op, args, want in cases:
+        last = len(want)
+        logs = [[] for _ in range(len(args) + 1)]
+        stepped = op(*[Series(counted(a.coeffs.__getitem__, log))
+                       for a, log in zip(args, logs)])
+        stepped.rule = counted(stepped.rule, logs[-1])
+        for order in [min(o, last) for o in orders] + [last]:
+            stepped.grow(order)
+            assert canonical_pairs(stepped.coeffs) == canonical_pairs(
+                want[:order])
+        once = op(*[lazy(a) for a in args]).at(last)
+        assert canonical_pairs(once.coeffs) == canonical_pairs(
+            stepped.coeffs)
+        assert stepped.nonzero == [k for k, w in enumerate(want) if w]
+        for log in logs:
+            assert log == list(range(last))
 
 
 def test_no_structural_zero_reaches_the_kernel(monkeypatch, capsys):
@@ -581,7 +640,7 @@ def test_series_product_denominator_reaches_no_lower_coefficient(
         return out
 
     monkeypatch.setattr(rings, "_int_dot", spy)
-    assert list(f.mul(g).coeffs) == want
+    assert list((f * g).coeffs) == want
     assert sorted(k for k, _ in seen) == list(range(8))
     for k, carrying in seen:
         assert bool(carrying) == (k >= 5), k

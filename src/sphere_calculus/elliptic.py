@@ -17,7 +17,10 @@ symmetric sum of products computed by rings.sum_of_products, and
 with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Every series is
 a rings.Series, the one value here that changes: the blowup series are
 one graph of them, and each product of base series is one more, its
-prefix's product times its last factor.  Each grows in place to the
+prefix's product times its last factor.  So is each identity checked,
+a Series of the graph whose coefficients are zero or raise
+IdentityError: the Weierstrass ODE, the normalization, and the
+identities of verify_elliptic_identities.  Each grows in place to the
 deepest order asked for, so each coefficient is computed and checked
 once per process.
 """
@@ -68,12 +71,26 @@ class BlowupFunctions(Record):
     __slots__ = ("B", "S", "Delta", "Q", "q", "Qprime", "order")
 
 
+def _identity(name: str, residual) -> Series:
+    """The check that `residual(k)`, the t^k coefficient of an
+    identity's lhs - rhs, vanishes: each coefficient is zero or raises
+    IdentityError."""
+
+    def rule(k):
+        c = residual(k)
+        if c:
+            raise IdentityError(name, k, c)
+        return P_ZERO
+    return Series(rule)
+
+
 def _build() -> dict:
     """A new graph of Series, by name: wp = z^2 p, B, S, Delta, Q, q,
-    Qprime, Binv = 1/B, inv_2mxq = 1/(2 - xq), and two checks whose
+    Qprime, Binv = 1/B, inv_2mxq = 1/(2 - xq), and the checks, whose
     coefficients are zero or raise IdentityError: "ode", the Weierstrass
-    ODE of p, and "normalization", B = 1 + O(t^4) even and S = t +
-    O(t^3) odd.  Nothing is computed before it is grown."""
+    ODE of p; "normalization", B = 1 + O(t^4) even and S = t + O(t^3)
+    odd; and the identities of verify_elliptic_identities, by name.
+    Nothing is computed before it is grown."""
     x = PolyX.x()
 
     def laurent_rule(k):
@@ -101,15 +118,13 @@ def _build() -> dict:
     v2 = series_product(v, v)
     u3 = series_product(series_product(u, u), u)
 
-    def ode_rule(k):
+    def ode_residual(k):
         rhs = 4 * u3[k]
         if k >= 4:
             rhs = rhs - G2 * u[k - 4]
         if k == 6:
             rhs = rhs - G3
-        if v2[k] != rhs:
-            raise IdentityError("weierstrass-ode", k, v2[k] - rhs)
-        return P_ZERO
+        return v2[k] - rhs
 
     # p - 1/z^2 = sum u_(k+2) z^k is an honest power series; integrate
     # twice: zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
@@ -145,12 +160,35 @@ def _build() -> dict:
             raise IdentityError("S-odd", k, s)
         return P_ZERO
 
-    return {"wp": u, "B": B, "S": S, "Delta": Delta, "Q": Q, "q": q,
-            "Qprime": Qprime, "Binv": inverse(B),
-            "inv_2mxq": inverse(Series(
-                lambda k: (2 if k == 0 else 0) - x * q[k])),
-            "ode": Series(ode_rule),
-            "normalization": Series(normalization_rule)}
+    # The identities every structure equation stands on: each residual
+    # is lhs - rhs at t^k, over products of the series above, and B(2t),
+    # S(2t) are B_k 2^k, S_k 2^k.
+    B2, S2 = series_product(B, B), series_product(S, S)
+    B4, S4, S2B2 = (series_product(B2, B2), series_product(S2, S2),
+                    series_product(S2, B2))
+    q2, Qprime2 = series_product(q, q), series_product(Qprime, Qprime)
+    Delta2 = series_product(Delta, Delta)
+    DSB = series_product(series_product(Delta, S), B)
+    QB = series_product(Q, B)
+
+    identities = {
+        "Qprime-ode": lambda k: (Qprime2[k] - (1 if k == 0 else 0)
+                                 + x * q[k] - q2[k]),
+        "Delta-squared": lambda k: (Delta2[k] - B4[k] + x * S2B2[k]
+                                    - S4[k]),
+        "B-double-angle": lambda k: B[k] * 2**k - B4[k] + S4[k],
+        "S-double-angle": lambda k: S[k] * 2**k - 2 * DSB[k],
+        "Q-times-B": lambda k: QB[k] - S[k],
+    }
+    graph = {"wp": u, "B": B, "S": S, "Delta": Delta, "Q": Q, "q": q,
+             "Qprime": Qprime, "Binv": inverse(B),
+             "inv_2mxq": inverse(Series(
+                 lambda k: (2 if k == 0 else 0) - x * q[k])),
+             "ode": _identity("weierstrass-ode", ode_residual),
+             "normalization": Series(normalization_rule)}
+    graph.update((name, _identity(name, residual))
+                 for name, residual in identities.items())
+    return graph
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +200,8 @@ def _graph() -> dict:
 def _grown(graph: dict, order: int) -> BlowupFunctions:
     """B, S, Delta, Q, q, Q' of `graph` at the given order, served once
     the Weierstrass ODE is checked through t^(order+2) and the
-    normalization through t^(order-1).  A check that fails keeps every
+    normalization through t^(order-1); the identities are grown only by
+    verify_elliptic_identities.  A check that fails keeps every
     coefficient found before it, each exact, and runs again at the next
     growth."""
     # p is checked deeper than the t^(order-1) its integrals need.
@@ -206,7 +245,7 @@ def product(names, order: int) -> SeriesT:
     for name in names:
         table = _table(table, name)
         table.grow(order)
-    return SeriesT.one(order) if table is None else table.at(order)
+    return SeriesT((P_ONE,), order) if table is None else table.at(order)
 
 
 def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
@@ -239,42 +278,28 @@ def triangular_solve(weights, parity: int):
     return out
 
 
-def _require_zero(residual: SeriesT, name: str):
-    for k, coeff in enumerate(residual.coeffs):
-        if coeff:
-            raise IdentityError(name, k, coeff)
+def verify_elliptic_identities(order: int) -> dict:
+    """Check every series identity of the calculus at the given order;
+    raises IdentityError on failure.
 
-
-def verify_elliptic_identities(bf: BlowupFunctions) -> dict:
-    """Check every series identity of the calculus; raises on failure.
-
+    The Q'-ODE Q'^2 = 1 - xq + q^2, Delta^2 = B^4 - x S^2 B^2 + S^4, the
+    double angles B(2t) = B^4 - S^4 and S(2t) = 2 Delta S B, and QB = S
+    are checks of the one graph (see _build), grown through t^(order-2)
+    where they read Delta or Q' and through t^(order-1) otherwise, so a
+    deeper order checks only the coefficients no shallower one reached.
     Returns a report mapping identity names to the order through which
     the residual was confirmed to vanish.
     """
+    bf = blowup_functions(order)
+    graph = _graph()
     report = {}
-    x = PolyX.x()
-
-    ode = bf.Qprime**2 - (1 - x * bf.q + bf.q**2)
-    _require_zero(ode, "Qprime-ode")
-    report["Qprime-ode"] = ode.order
-
-    B2, S2 = bf.B * bf.B, bf.S * bf.S
-    B4, S4 = B2 * B2, S2 * S2
-    delta_sq = bf.Delta**2 - (B4 - x * S2 * B2 + S4)
-    _require_zero(delta_sq, "Delta-squared")
-    report["Delta-squared"] = delta_sq.order
-
-    b_double = bf.B.rescale(2) - (B4 - S4)
-    _require_zero(b_double, "B-double-angle")
-    report["B-double-angle"] = b_double.order
-
-    s_double = bf.S.rescale(2) - 2 * bf.Delta * bf.S * bf.B
-    _require_zero(s_double, "S-double-angle")
-    report["S-double-angle"] = s_double.order
-
-    qb = bf.Q * bf.B - bf.S
-    _require_zero(qb, "Q-times-B")
-    report["Q-times-B"] = qb.order
+    for name, depth in (("Qprime-ode", order - 1),
+                        ("Delta-squared", order - 1),
+                        ("B-double-angle", order),
+                        ("S-double-angle", order - 1),
+                        ("Q-times-B", order)):
+        graph[name].grow(depth)
+        report[name] = depth
 
     for n in range(0, 9):
         # only t^0..t^(n+1) are read, and they depend on B, S through t^(n+1)

@@ -38,5 +38,6 @@ def smb_series(n: int, twist_count: int, order: int) -> SeriesT:
 def smb_insertion_series(n: int, twist_count: int, order: int) -> SeriesT:
     """-Delta S^(m-1) B^(n-m-1) = -B^n Q' Q^(m-1), m = twist_count."""
     m = twist_count - 1
-    return -weight_series(-n, 0, (m % 2, 1), m // 2, order)
+    f = weight_series(-n, 0, (m % 2, 1), m // 2, order)
+    return SeriesT([-c for c in f.coeffs], order)
 

@@ -357,11 +357,11 @@ def _product_coefficients(f, nonzero, g, ks) -> list:
 
 
 class SeriesT:
-    """Power series in t truncated at a known order.
+    """A frozen truncation of a power series in t.
 
     coeffs[k] is the PolyX coefficient of t^k for k < order; coefficients
-    of degree >= order are unknown.  Binary operations truncate to the
-    smaller order.
+    of degree >= order are unknown.  A product and `==` go to the smaller
+    order.
     """
 
     __slots__ = ("order", "coeffs")
@@ -374,10 +374,6 @@ class SeriesT:
         self.coeffs = coeffs[:order]
         self.order = order
 
-    @staticmethod
-    def one(order: int) -> "SeriesT":
-        return SeriesT((P_ONE,), order)
-
     def __getitem__(self, k: int) -> PolyX:
         if k >= self.order:
             raise IndexError("coefficient %d beyond series order %d" % (k, self.order))
@@ -387,16 +383,6 @@ class SeriesT:
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return _series(self.coeffs[:order], order)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def valuation(self):
-        """Order of the lowest known nonzero term (-1 if none known)."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return -1
 
     def __eq__(self, other):
         """Equality of all coefficients through min(order) - 1."""
@@ -408,50 +394,14 @@ class SeriesT:
     def __hash__(self):
         raise TypeError("SeriesT equality is order-relative; not hashable")
 
-    def __neg__(self):
-        return _series([-c for c in self.coeffs], self.order)
-
-    def __add__(self, other):
-        if isinstance(other, SeriesT):
-            n = min(self.order, other.order)
-            return _series([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                           n)
-        p = _as_polyx(other)
-        if p is NotImplemented:
-            return NotImplemented
-        out = list(self.coeffs)
-        if self.order > 0:
-            out[0] = out[0] + p
-        return SeriesT(out, self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SeriesT):
-            n = min(self.order, other.order)
-            return _series([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                           n)
-        return self + -_as_polyx(other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, SeriesT):
-            n = min(self.order, other.order)
-            f, g = self.coeffs, other.coeffs
-            nonzero = [i for i in range(n) if f[i]]
-            return _series(_product_coefficients(f, nonzero, g, range(n)),
-                           n)
-        if isinstance(other, _RAT_TYPES) or isinstance(other, PolyX):
-            p = _as_polyx(other)
-            return _series([c * p for c in self.coeffs], self.order)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "SeriesT") -> "SeriesT":
+        n = min(self.order, other.order)
+        f, g = self.coeffs, other.coeffs
+        nonzero = [i for i in range(n) if f[i]]
+        return _series(_product_coefficients(f, nonzero, g, range(n)), n)
 
     def __pow__(self, n: int):
-        return _power(self, n, SeriesT.one(self.order))
+        return _power(self, n, SeriesT((P_ONE,), self.order))
 
     def rescale(self, c) -> "SeriesT":
         """f(t) -> f(c*t)."""

@@ -4,7 +4,7 @@ Every check uses exact rational arithmetic; "equal" means literal
 coefficient equality through the stated truncation order.
 """
 
-from sphere_calculus.elliptic import blowup_functions, verify_elliptic_identities
+from sphere_calculus.elliptic import verify_elliptic_identities
 from sphere_calculus.embedded import (
     derive_embedded,
     verify_corollary_24,
@@ -41,7 +41,7 @@ def _report(num, text):
 
 def test_criterion_1_elliptic_identity_suite():
     for order in (16, 32):
-        report = verify_elliptic_identities(blowup_functions(order))
+        report = verify_elliptic_identities(order)
         assert {"Qprime-ode", "Delta-squared", "B-double-angle",
                 "S-double-angle", "BrSn-order"} <= set(report)
     _report(1, "elliptic identities exact at orders 16 and 32")

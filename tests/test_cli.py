@@ -9,7 +9,6 @@ from sphere_calculus import __version__, cli, emit
 from sphere_calculus.cli import default_order, run
 from sphere_calculus.embedded import DerivationError
 from sphere_calculus.immersed import derive_immersed
-from sphere_calculus.lens import build_poset
 from sphere_calculus.rings import rat
 
 
@@ -228,11 +227,27 @@ def test_json_rationals_are_strings():
     assert '"1/6"' in flat
 
 
-def test_json_schema_everywhere():
-    nf = derive_immersed(0, 0, -2)
-    j = build_poset(6, 0, 10)
-    for doc in (emit.normal_form_json(nf), emit.poset_json(j)):
-        assert json.loads(doc)["schema"] == "sphere-calculus/1"
+# Every JSON document kind: the request, its kind and the truncation
+# order it records, which only series and embedded documents carry.
+JSON_DOCUMENTS = [
+    (["series", "--fn", "B", "--order", "12"], "series", 12),
+    (["embedded", "--n", "3", "--epsilon", "1"], "embedded-relation", 14),
+    (["immersed", "--p", "2", "--s", "1", "--a", "-1"], "normal-form", None),
+    (["finite-type", "--p", "1", "--a", "0"], "finite-type-order", None),
+    (["lens", "chi", "--p", "5", "--parity", "odd"], "character-variety",
+     None),
+    (["lens", "poset", "--p", "6", "--parity", "even", "--n", "10"],
+     "charge-poset", None),
+]
+
+
+def test_json_schema_everywhere(capsys):
+    for argv, kind, order in JSON_DOCUMENTS:
+        code, out = capture(capsys, argv + ["--format", "json"])
+        assert code == 0, argv
+        doc = json.loads(out)
+        assert (doc["schema"], doc["kind"]) == ("sphere-calculus/1", kind)
+        assert doc.get("order") == order, argv
 
 
 def test_determinism(capsys):

@@ -166,8 +166,8 @@ def test_oracle_a_holds_at_a_second_representative():
         for epsilon in (0, 1):
             rel = derive_embedded(n, epsilon)
             for name, model in oracle_a_models(n, epsilon, rel.order):
-                residual = model - _evaluate(rel, model, rel.order)
-                assert residual.valuation() == -1, (n, epsilon, name)
+                got = _evaluate(rel, model, rel.order)
+                assert got == model, (n, epsilon, name)
                 checked.append((n, epsilon, name))
     assert len(checked) == 56
 
@@ -185,7 +185,7 @@ def even_basis():
 
 def test_fit_non_unit_diagonal_raises_in_solver():
     basis = even_basis()
-    basis[1] = basis[1] * PolyX.x()
+    basis[1] = basis[1] * SeriesT((PolyX.x(),), basis[1].order)
     with pytest.raises(ValueError, match=r"t\^2 is not a unit"):
         triangular_solve(basis, 0)
 
@@ -243,7 +243,8 @@ def planted_model(monkeypatch):
     def planted(n, twist_count, order):
         series = true_series(n, twist_count, order)
         if (n, twist_count) == (4, 1):
-            series = series + SeriesT((0, 1), order)
+            series = SeriesT([c + 1 if k == 1 else c
+                              for k, c in enumerate(series.coeffs)], order)
         return series
 
     caches = (embedded.derive_embedded, immersed.derive_immersed)

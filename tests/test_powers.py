@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sphere_calculus import elliptic, embedded, immersed, model, rings
 from sphere_calculus.elliptic import triangular_solve
 from sphere_calculus.immersed import k0_index, k_index
-from sphere_calculus.rings import AlphaPoly, PolyX, factorial, rat
+from sphere_calculus.rings import AlphaPoly, PolyX, SeriesT, factorial, rat
 
 NAMES = ("B", "S", "Delta", "Binv", "q", "inv_2mxq")
 
@@ -27,7 +27,9 @@ def fresh(order):
     named = {name: getattr(bf, name) for name in ("B", "S", "Delta", "Q",
                                                   "q", "Qprime")}
     named["Binv"] = inverted(bf.B)
-    named["inv_2mxq"] = inverted(2 - bf.q * PolyX.x())
+    named["inv_2mxq"] = inverted(SeriesT(
+        [(2 if k == 0 else 0) - PolyX.x() * c
+         for k, c in enumerate(bf.q.coeffs)], bf.q.order))
     return named
 
 
@@ -98,7 +100,8 @@ def test_model_and_basis_series_match_products(n, order, data):
     assert_same(model.smb_series(n, m, order), S ** m * B ** (n - m))
     if 1 <= m <= n - 1:
         assert_same(model.smb_insertion_series(n, m, order),
-                    -(D * S ** (m - 1) * B ** (n - m - 1)))
+                    SeriesT((-1,), order) * D * S ** (m - 1)
+                    * B ** (n - m - 1))
     for epsilon in (0, 1):
         for parity in (0, 1):
             for (s, b, d), series in embedded.basis_series(
@@ -241,3 +244,39 @@ def test_no_product_is_served_past_the_checked_order(monkeypatch):
         with pytest.raises(elliptic.IdentityError) as err:
             elliptic.weight_series(-2, 0, (0, 1), 0, 24)
     assert err.value.name == "weierstrass-ode"
+
+
+def int_dot_calls(monkeypatch, run):
+    """The _int_dot calls run() makes."""
+    calls, int_dot = [0], rings._int_dot
+
+    def spy(rows, div):
+        calls[0] += 1
+        return int_dot(rows, div)
+
+    with monkeypatch.context() as m:
+        m.setattr(rings, "_int_dot", spy)
+        run()
+    return calls[0]
+
+
+def test_deepened_identities_compute_each_coefficient_once(monkeypatch):
+    """Verifying at 32 and then at 64 costs one verification at 64 plus
+    one more BrSn loop, which reads t^0..t^9 at any order: the identity
+    checks continue where order 32 left them.  A second verification at
+    64 is that loop alone."""
+    verify = elliptic.verify_elliptic_identities
+    clear_series_tables()
+    elliptic.blowup_functions(64)
+    # Serving the blowup series grows none of the identity checks.
+    graph = elliptic._graph()
+    assert not any(graph[name].coeffs for name in (
+        "Qprime-ode", "Delta-squared", "B-double-angle", "S-double-angle",
+        "Q-times-B"))
+    one = int_dot_calls(monkeypatch, lambda: verify(64))
+    brsn = int_dot_calls(monkeypatch, lambda: verify(64))
+    clear_series_tables()
+    elliptic.blowup_functions(64)
+    stepped = int_dot_calls(monkeypatch, lambda: (verify(32), verify(64)))
+    assert 0 < brsn < one
+    assert stepped == one + brsn

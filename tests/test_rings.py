@@ -65,13 +65,12 @@ def lazy(f):
 
 
 def test_series_inverse_and_sqrt():
-    one = SeriesT.one(10)
     f = SeriesT([1, 1], 10)  # 1 + t
     g = inverse(lazy(f)).at(10)
-    assert (f * g - one).is_zero()
+    assert f * g == SeriesT((1,), 10)
     f = SeriesT([1, 0, 1], 10)  # 1 + t^2
     h = sqrt(lazy(f)).at(10)
-    assert (h * h - f).is_zero()
+    assert h * h == f
 
 
 POWER_BASES = [
@@ -84,7 +83,7 @@ POWER_BASES = [
 @pytest.mark.parametrize("base", POWER_BASES, ids=lambda b: type(b).__name__)
 def test_power_matches_repeated_product(base):
     if isinstance(base, SeriesT):
-        product = SeriesT.one(base.order)
+        product = SeriesT((1,), base.order)
     else:
         product = type(base).const(1)
     for k in range(9):
@@ -375,7 +374,7 @@ def test_series_inverse_matches_per_coefficient_reference(c, tail):
     got = inverse(lazy(f)).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_inverse(f))
-    same_coefficients((f * got).coeffs, SeriesT.one(f.order).coeffs)
+    same_coefficients((f * got).coeffs, SeriesT((1,), f.order).coeffs)
 
 
 @given(tails)

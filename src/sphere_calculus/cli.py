@@ -5,8 +5,7 @@ Exit status 0 on success, 1 when a checked identity is falsified, and
 2 for usage errors and for inputs with no answer.  `--order N`, the
 series truncation order (minimum 8), is taken by `series` and by
 `verify --suite elliptic|all`; anywhere else it exits 2.  The default
-order comes from the SPHERE_CALCULUS_ORDER environment variable
-(minimum 8, default 32).  `lens poset` needs `--n` >= 0.
+order is 32.  `lens poset` needs `--n` >= 0.
 `--version` prints the package version, the arithmetic backend and the
 Python version on one line and exits 0.
 """
@@ -29,17 +28,6 @@ DEFAULT_ORDER = 32
 MIN_ORDER = 8
 
 FALSIFIED = (IdentityError, DerivationError, PosetError)
-
-
-def default_order() -> int:
-    raw = os.environ.get("SPHERE_CALCULUS_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        order = int(raw)
-    except ValueError:
-        return DEFAULT_ORDER
-    return max(order, MIN_ORDER)
 
 
 def _parity(text: str) -> int:
@@ -175,7 +163,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     order = getattr(args, "order", None)
     if order is None:
-        order = default_order()
+        order = DEFAULT_ORDER
     if order < MIN_ORDER:
         parser.error("order must be at least %d" % MIN_ORDER)
     if (args.command == "verify" and args.order is not None

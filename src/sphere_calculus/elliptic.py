@@ -16,13 +16,13 @@ symmetric sum of products computed by rings.sum_of_products, and
 
 with e3 = -x/3 the rational root of 4y^3 - g2 y - g3.  Every series is
 a rings.Series, the one value here that changes: the blowup series are
-one graph of them, and each product of base series is one more, its
-prefix's product times its last factor.  So is each identity checked,
-a Series of the graph whose coefficients are zero or raise
-IdentityError: the Weierstrass ODE, the normalization, and the
-identities of verify_elliptic_identities.  Each grows in place to the
-deepest order asked for, so each coefficient is computed and checked
-once per process.
+one graph of them, each power of a base series is one more, and each
+product of them is one more, its prefix's product times its last
+factor.  So is each identity checked, a Series of the graph whose
+coefficients are zero or raise IdentityError: the Weierstrass ODE, the
+normalization, and the identities of verify_elliptic_identities.  Each
+grows in place to the deepest order asked for, so each coefficient is
+computed and checked once per process.
 """
 
 from __future__ import annotations
@@ -38,10 +38,9 @@ from .rings import (
     SeriesT,
     exp,
     factorial,
-    inverse,
+    power,
     product as series_product,
     rat,
-    sqrt,
     sum_of_products,
 )
 from .record import Record
@@ -86,7 +85,8 @@ def _identity(name: str, residual) -> Series:
 
 def _build() -> dict:
     """A new graph of Series, by name: wp = z^2 p, B, S, Delta, Q, q,
-    Qprime, Binv = 1/B, inv_2mxq = 1/(2 - xq), and the checks, whose
+    Qprime, "2-xq" = 2 - xq (B and 2 - xq are the bases of the power
+    factors of weight_series), and the checks, whose
     coefficients are zero or raise IdentityError: "ode", the Weierstrass
     ODE of p; "normalization", B = 1 + O(t^4) even and S = t + O(t^3)
     odd; and the identities of verify_elliptic_identities, by name.
@@ -131,7 +131,8 @@ def _build() -> dict:
     sigma_over_z = exp(Series(
         lambda k: u[k] * rat(-1, k * (k - 1)) if k > 1 else P_ZERO))
     # z^2 (p - e3) has constant term 1; principal square root.
-    sqrt_part = sqrt(Series(lambda k: u[k] - E3 if k == 2 else u[k]))
+    sqrt_part = power(Series(lambda k: u[k] - E3 if k == 2 else u[k]),
+                      rat(1, 2))
     gauss = exp(Series(lambda k: -x * rat(1, 6) if k == 2 else P_ZERO))
     s_over_t = series_product(gauss, sigma_over_z)
     B = series_product(s_over_t, sqrt_part)
@@ -143,7 +144,7 @@ def _build() -> dict:
         return sum_of_products([(2 * i - k - 1, s[i], b[k + 1 - i])
                                 for i in range(k + 2) if 2 * i != k + 1])
     Delta = Series(delta_rule)
-    inv_sqrt_part = inverse(sqrt_part)
+    inv_sqrt_part = power(sqrt_part, -1)
     Q = Series(lambda k: inv_sqrt_part[k - 1] if k else P_ZERO)
     q = series_product(Q, Q)
     Qprime = Series(lambda k: Q[k + 1] * (k + 1))
@@ -181,9 +182,8 @@ def _build() -> dict:
         "Q-times-B": lambda k: QB[k] - S[k],
     }
     graph = {"wp": u, "B": B, "S": S, "Delta": Delta, "Q": Q, "q": q,
-             "Qprime": Qprime, "Binv": inverse(B),
-             "inv_2mxq": inverse(Series(
-                 lambda k: (2 if k == 0 else 0) - x * q[k])),
+             "Qprime": Qprime,
+             "2-xq": Series(lambda k: (2 if k == 0 else 0) - x * q[k]),
              "ode": _identity("weierstrass-ode", ode_residual),
              "normalization": Series(normalization_rule)}
     graph.update((name, _identity(name, residual))
@@ -226,24 +226,30 @@ def blowup_functions(order: int) -> BlowupFunctions:
 
 
 @lru_cache(maxsize=None)
-def _table(prefix, name: str) -> Series:
+def _table(prefix, factor) -> Series:
     """The product of `prefix`, a table (None: the empty product), and
-    the base series `name` of the graph, shared by every product that
-    begins with these factors."""
-    base = _graph()[name]
-    return base if prefix is None else series_product(prefix, base)
+    `factor`, shared by every product that begins with these factors.
+    A factor is a base series of the graph by name, or a pair (name,
+    alpha): that series to the int power alpha, one rings.power table
+    (the base series itself for alpha = 1)."""
+    if prefix is not None:
+        return series_product(prefix, _table(None, factor))
+    if isinstance(factor, str):
+        return _graph()[factor]
+    name, alpha = factor
+    return _graph()[name] if alpha == 1 else power(_graph()[name], alpha)
 
 
-def product(names, order: int) -> SeriesT:
-    """The product of the base series `names`, factor by factor in that
+def product(factors, order: int) -> SeriesT:
+    """The product of `factors` (see _table), factor by factor in that
     order, at the given order, once the blowup series are checked one
     order deeper (Delta and Qprime read one coefficient ahead).  The
     prefix tables are grown shortest first, so each finds its prefix at
     the order already and no growth recurses down the chain."""
     blowup_functions(max(8, order + 1))
     table = None
-    for name in names:
-        table = _table(table, name)
+    for factor in factors:
+        table = _table(table, factor)
         table.grow(order)
     return SeriesT((P_ONE,), order) if table is None else table.at(order)
 
@@ -252,9 +258,11 @@ def weight_series(a: int, s: int, kernel, k: int, order: int) -> SeriesT:
     """B^(-a) (2-xq)^(-s) Q^i Q'^j q^k at the given order, kernel (i, j)
     in {0, 1}^2.  By S = QB and Delta = Q'B^2 this holds the model series,
     the embedded basis (both at a = -n, s = 0) and the immersed weights.
-    The factors come in that order, so each q^k term is the one before
-    it times q."""
-    return product(("B" if a <= 0 else "Binv",) * abs(a) + ("inv_2mxq",) * s
+    The factors come in that order: B^(-a) and (2-xq)^(-s) one power
+    table each, then Q, Q' and q one by one, so each q^k term is the one
+    before it times q."""
+    return product(tuple((name, -e) for name, e in (("B", a), ("2-xq", s))
+                         if e)
                    + ("Q",) * kernel[0] + ("Qprime",) * kernel[1]
                    + ("q",) * k, order)
 

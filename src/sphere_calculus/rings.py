@@ -10,9 +10,9 @@ numerator sequences and the pair's denominator.  The kernel scales each
 row onto the lcm of the rows' d, sums the int convolutions and
 reduces once, so each output coefficient lives over the denominators
 of its own pairs and no other.  sum_of_products builds the rows of one
-coefficient: series products and the exp, sqrt and inverse recurrences
-call it coefficient by coefficient, each from the ones below, as the
-rules of Series, a power series grown on demand; that is how every
+coefficient: series products and the exp and power recurrences call
+it coefficient by coefficient, each from the ones below, as the rules
+of Series, a power series grown on demand; that is how every
 series of `elliptic` deepens.  linear_combination builds the rows of
 every entry of a weighted sum of sequences: the polynomial product of
 RingPoly, RingPoly.combination and the engine's exact linear
@@ -250,8 +250,6 @@ class PolyX:
             if n < 0:
                 n, d = -n, -d
             return _canon([c * d for c in self.num], self.den * n)
-        if isinstance(other, PolyX) and other.is_unit():
-            return self / other.constant()
         return NotImplemented
 
     def __pow__(self, n: int):
@@ -466,48 +464,34 @@ def product(f: Series, g: Series) -> Series:
     return Series(rule)
 
 
-def inverse(f: Series) -> Series:
-    """1/f; growing it raises ValueError unless f_0 is a nonzero
-    constant."""
+def power(f: Series, alpha) -> Series:
+    """f^alpha for an int or rational alpha; growing it raises
+    ValueError unless f_0 is a nonzero constant, and f_0 = 1 when alpha
+    is not an int."""
     fc, nonzero = f.coeffs, f.nonzero
+    a, r = _int_pair(alpha)
 
     def rule(n):
         f.grow(n + 1)
         f0 = fc[0]
         if n == 0:
-            if not f0.is_unit():
-                raise ValueError("series not a unit")
-            return P_ONE / f0
-        # g_n = -(f_1 g_(n-1) + ... + f_n g_0) / f_0, f_0 = c / d, over
-        # the nonzero f_i; nonzero[0] is 0.
+            if not f0.is_unit() or (r != 1 and f0 != P_ONE):
+                raise ValueError("series power %s of f_0 = %r"
+                                 % (rat_to_str(alpha), f0))
+            return PolyX.const(f0.constant() ** a)
+        # f g' = alpha f' g determines g coefficient by coefficient (J.
+        # C. P. Miller's formula; D. E. Knuth, TAOCP Vol. 2, 4.7):
+        # n f_0 g_n = sum_(i=1..n) ((alpha+1) i - n) f_i g_(n-i), over the
+        # nonzero f_i of nonzero weight, with f_0 = c / d and alpha = a / r;
+        # nonzero[0] is 0.
         (c,), d = f0.num, f0.den
-        w, div = (-d, c) if c > 0 else (d, -c)
+        if c < 0:
+            c, d = -c, -d
         out = g.coeffs
         return sum_of_products(
-            [(w, fc[i], out[n - i])
-             for i in nonzero[1:bisect_right(nonzero, n)]], div)
-    g = Series(rule)
-    return g
-
-
-def sqrt(f: Series) -> Series:
-    """The principal square root of f; growing it raises ValueError
-    unless f_0 = 1."""
-
-    def rule(n):
-        fn = f[n]
-        if n == 0:
-            if fn != P_ONE:
-                raise ValueError("series sqrt requires constant term 1")
-            return P_ONE
-        # g_n = (f_n - sum_{0<i<n} g_i g_(n-i)) / 2, each unordered pair
-        # of the symmetric sum taken once with weight 2.
-        out = g.coeffs
-        terms = [(-2, out[i], out[n - i]) for i in range(1, (n + 1) // 2)]
-        if n % 2 == 0:
-            terms.append((-1, out[n // 2], out[n // 2]))
-        terms.append((1, fn, P_ONE))
-        return sum_of_products(terms, 2)
+            [(((a + r) * i - r * n) * d, fc[i], out[n - i])
+             for i in nonzero[1:bisect_right(nonzero, n)]
+             if (a + r) * i != r * n], r * n * c)
     g = Series(rule)
     return g
 

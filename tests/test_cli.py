@@ -6,7 +6,7 @@ import platform
 import pytest
 
 from sphere_calculus import __version__, cli, emit
-from sphere_calculus.cli import default_order, run
+from sphere_calculus.cli import run
 from sphere_calculus.embedded import DerivationError
 from sphere_calculus.immersed import derive_immersed
 from sphere_calculus.rings import rat
@@ -198,15 +198,12 @@ def test_lens_poset_negative_n_exit_2():
     assert exc.value.code == 2
 
 
-def test_env_var_default(monkeypatch):
-    monkeypatch.delenv("SPHERE_CALCULUS_ORDER", raising=False)
-    assert default_order() == 32
+def test_default_order_ignores_the_environment(monkeypatch, capsys):
+    # --order is the one way to set the order.
     monkeypatch.setenv("SPHERE_CALCULUS_ORDER", "16")
-    assert default_order() == 16
-    monkeypatch.setenv("SPHERE_CALCULUS_ORDER", "2")
-    assert default_order() == 8
-    monkeypatch.setenv("SPHERE_CALCULUS_ORDER", "junk")
-    assert default_order() == 32
+    code, out = capture(capsys, ["series", "--fn", "B", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["order"] == 32
 
 
 # ------------------------------------------------------------- emitters

@@ -224,6 +224,7 @@ EMBEDDED_JSON_SHA256 = {
     (18, 1): "303ab4c88a4a451e1ef8789ac1ff595a0832db148dd25168758d696d33f84050",
     (19, 1): "7fbf704aa629aca3f7e17536d963067a4d42d4198d826943b1838f9f7aea7cb3",
     (20, 1): "c05cedbcdf0748401f2fc9947a95de7a064a0edab9fd21728201eb2ac4703d51",
+    (40, 1): "ab42b72e35c44b4287539c08e520acbf117b08962e5a52982fdbecbaafbdefe3",
 }
 
 

@@ -14,7 +14,6 @@ Regenerate (only when a change of output is intended) with
 import contextlib
 import io
 import json
-import os
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -132,11 +131,6 @@ def _load():
     return json.loads(CORPUS.read_text())
 
 
-@pytest.fixture(autouse=True)
-def _default_order(monkeypatch):
-    monkeypatch.delenv("SPHERE_CALCULUS_ORDER", raising=False)
-
-
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_golden_document(argv):
     want = _load()[" ".join(argv)]
@@ -157,7 +151,6 @@ def test_corpus_covers_every_case():
 
 
 if __name__ == "__main__":
-    os.environ.pop("SPHERE_CALCULUS_ORDER", None)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(build_corpus(), indent=1, sort_keys=True)
                       + "\n")

@@ -1,5 +1,5 @@
-"""The memoised series powers and q-basis tables against plain powers
-and products of fresh builds."""
+"""The memoised series powers, power tables and q-basis tables against
+plain powers and products of fresh builds."""
 
 from functools import lru_cache
 
@@ -11,26 +11,35 @@ from sphere_calculus.elliptic import triangular_solve
 from sphere_calculus.immersed import k0_index, k_index
 from sphere_calculus.rings import AlphaPoly, PolyX, SeriesT, factorial, rat
 
-NAMES = ("B", "S", "Delta", "Binv", "q", "inv_2mxq")
+NAMES = ("B", "S", "Delta", "q", "2-xq")
+# The base series with a unit constant term, whose every int power is
+# one power table.
+UNITS = ("B", "2-xq")
 
 
 def inverted(f):
     """1/f for a SeriesT f, by the rings recurrence from scratch."""
-    return rings.inverse(rings.Series(f.coeffs.__getitem__)).at(f.order)
+    return rings.power(rings.Series(f.coeffs.__getitem__), -1).at(f.order)
 
 
 @lru_cache(maxsize=None)
 def fresh(order):
     """The blowup series of a new graph, grown and checked at `order`
-    alone, with Binv and inv_2mxq formed directly."""
+    alone, with 2 - xq formed directly."""
     bf = elliptic._grown(elliptic._build(), order)
     named = {name: getattr(bf, name) for name in ("B", "S", "Delta", "Q",
                                                   "q", "Qprime")}
-    named["Binv"] = inverted(bf.B)
-    named["inv_2mxq"] = inverted(SeriesT(
+    named["2-xq"] = SeriesT(
         [(2 if k == 0 else 0) - PolyX.x() * c
-         for k, c in enumerate(bf.q.coeffs)], bf.q.order))
+         for k, c in enumerate(bf.q.coeffs)], bf.q.order)
     return named
+
+
+def plain_power(order, name, k):
+    """The fresh series `name` at `order` to the int power k, by repeated
+    products of it, or of its inverse for k < 0."""
+    f = fresh(order)[name]
+    return f ** k if k >= 0 else inverted(f) ** -k
 
 
 def assert_same(got, want):
@@ -39,19 +48,28 @@ def assert_same(got, want):
 
 
 requests = st.lists(
-    st.tuples(st.integers(0, 12), st.integers(8, 40)), min_size=2, max_size=4)
+    st.tuples(st.integers(-12, 12), st.integers(8, 40)), min_size=2,
+    max_size=4)
 
 
 @given(st.sampled_from(NAMES), requests)
 @example("Delta", [(3, 20), (5, 12), (2, 30)])
+@example("B", [(-3, 20), (5, 12), (-12, 30)])
 @settings(max_examples=30, deadline=None)
 def test_series_power_matches_plain_power(name, reqs):
+    """A chain of k equal factors, and for a unit constant term the one
+    power table (name, k), equal the plain power."""
     # Fresh tables, so that the drawn orders fall both below and above
     # the order a table was built at.
     elliptic._table.cache_clear()
     for k, order in reqs:
-        want = fresh(order)[name] ** k
-        assert_same(elliptic.product((name,) * k, want.order), want)
+        if name not in UNITS:
+            k = abs(k)
+        want = plain_power(order, name, k)
+        if k >= 0:
+            assert_same(elliptic.product((name,) * k, want.order), want)
+        if name in UNITS and k:
+            assert_same(elliptic.product(((name, k),), want.order), want)
 
 
 KERNELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -59,10 +77,10 @@ KERNELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 def from_scratch_weight(a, s, kernel, i, order):
     f = fresh(order + 1)
-    bpow = f["B"] ** (-a) if a <= 0 else f["Binv"] ** a
     qi, qj = kernel
-    return (bpow * f["inv_2mxq"] ** s * f["Q"] ** qi * f["Qprime"] ** qj
-            * f["q"] ** i).truncate(order)
+    return (plain_power(order + 1, "B", -a)
+            * plain_power(order + 1, "2-xq", -s) * f["Q"] ** qi
+            * f["Qprime"] ** qj * f["q"] ** i).truncate(order)
 
 
 @given(st.integers(-12, 12), st.integers(0, 4), st.sampled_from(KERNELS),
@@ -80,8 +98,9 @@ def test_weight_series_match_from_scratch(a, s, kernel, reqs):
 
 
 def test_long_factor_chains_are_walked_without_recursion():
-    """A weight of 1,800 factors: each prefix table is extended before
-    the next is reached, so no build recurses down the chain."""
+    """A weight of B^1200, one power table, and 600 factors q: each
+    prefix table is extended before the next is reached, so no build
+    recurses down the chain."""
     elliptic._table.cache_clear()
     assert_same(elliptic.weight_series(-1200, 0, (0, 0), 600, 8),
                 rings.SeriesT((), 8))
@@ -144,6 +163,12 @@ def test_truncated_blowup_functions_match_fresh_builds():
             assert_same(getattr(got, name), fresh(order)[name])
 
 
+# The products the deepening tests read, each with the power (name, k)
+# it stands for: chains of k equal factors and single power tables.
+DEEPENED_PRODUCTS = ([((name,) * k, (name, k)) for name in NAMES
+                      for k in range(4)]
+                     + [(((name, k),), (name, k)) for name in UNITS
+                        for k in (-3, -1, 2)])
 # The weight tables the deepening tests read: (a, s, kernel), q^0..q^2.
 DEEPENED_WEIGHTS = [(-3, 2, (1, 1)), (2, 1, (0, 1)), (0, 0, (1, 0)),
                     (-4, 0, (0, 0))]
@@ -157,8 +182,8 @@ def clear_series_tables():
 
 def deepened_requests(order):
     return ([elliptic.blowup_functions(order)]
-            + [elliptic.product((name,) * k, order) for name in NAMES
-               for k in range(4)]
+            + [elliptic.product(factors, order)
+               for factors, _ in DEEPENED_PRODUCTS]
             + [elliptic.weight_series(a, s, kernel, i, order)
                for a, s, kernel in DEEPENED_WEIGHTS for i in range(3)])
 
@@ -192,10 +217,10 @@ def test_ascending_deepening_matches_fresh_builds_at_the_cost_of_one(
     for order, (bf, *rest) in got.items():
         for name in ("B", "S", "Delta", "Q", "q", "Qprime"):
             assert_same(getattr(bf, name), fresh(order)[name])
-        powers, weights = rest[:4 * len(NAMES)], rest[4 * len(NAMES):]
-        for (name, k), f in zip([(n, k) for n in NAMES for k in range(4)],
-                                powers):
-            assert_same(f, fresh(order + 1)[name].truncate(order) ** k)
+        powers = rest[:len(DEEPENED_PRODUCTS)]
+        weights = rest[len(DEEPENED_PRODUCTS):]
+        for (_, (name, k)), f in zip(DEEPENED_PRODUCTS, powers):
+            assert_same(f, plain_power(order + 1, name, k).truncate(order))
         for (a, s, kernel, i), f in zip(
                 [w + (i,) for w in DEEPENED_WEIGHTS for i in range(3)],
                 weights):

@@ -30,11 +30,6 @@ def reference():
     return json.loads(REFERENCE.read_text())
 
 
-@pytest.fixture(autouse=True)
-def _default_order(monkeypatch):
-    monkeypatch.delenv("SPHERE_CALCULUS_ORDER", raising=False)
-
-
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 

@@ -15,12 +15,11 @@ from sphere_calculus.rings import (
     _power,
     exp,
     factorial,
-    inverse,
     linear_combination,
+    power,
     product,
     rat,
     rat_to_str,
-    sqrt,
 )
 
 rationals = st.builds(
@@ -66,10 +65,10 @@ def lazy(f):
 
 def test_series_inverse_and_sqrt():
     f = SeriesT([1, 1], 10)  # 1 + t
-    g = inverse(lazy(f)).at(10)
+    g = power(lazy(f), -1).at(10)
     assert f * g == SeriesT((1,), 10)
     f = SeriesT([1, 0, 1], 10)  # 1 + t^2
-    h = sqrt(lazy(f)).at(10)
+    h = power(lazy(f), rat(1, 2)).at(10)
     assert h * h == f
 
 
@@ -224,7 +223,6 @@ def test_polyx_agrees_with_fraction_reference(a, b, c, k):
     agrees(a ** k, want)
     if c:
         agrees(a / c, [x / rc for x in ra])
-        agrees(a / PolyX.const(c), [x / rc for x in ra])
     else:
         with pytest.raises(ZeroDivisionError):
             a / c
@@ -311,7 +309,7 @@ def test_series_product_agrees_with_coefficient_sums(f, g):
 # them (rings.sum_of_products) must give the same canonical coefficients.
 
 def ref_inverse(f):
-    inv0 = PolyX.const(1) / f[0]
+    inv0 = PolyX.const(1 / f[0].constant())
     out = [inv0]
     for n in range(1, f.order):
         acc = PolyX()
@@ -371,7 +369,7 @@ EXAMPLE_TAIL = [X / 5, X * X - rat(1, 3), PolyX(), X / 720]
 @settings(max_examples=120, deadline=None)
 def test_series_inverse_matches_per_coefficient_reference(c, tail):
     f = SeriesT([c] + tail, len(tail) + 1)
-    got = inverse(lazy(f)).at(f.order)
+    got = power(lazy(f), -1).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_inverse(f))
     same_coefficients((f * got).coeffs, SeriesT((1,), f.order).coeffs)
@@ -381,7 +379,7 @@ def test_series_inverse_matches_per_coefficient_reference(c, tail):
 @settings(max_examples=120, deadline=None)
 def test_series_sqrt_matches_per_coefficient_reference(tail):
     f = SeriesT([PolyX.const(1)] + tail, len(tail) + 1)
-    got = sqrt(lazy(f)).at(f.order)
+    got = power(lazy(f), rat(1, 2)).at(f.order)
     assert got.order == f.order
     same_coefficients(got.coeffs, ref_sqrt(f))
     same_coefficients((got * got).coeffs, f.coeffs)
@@ -537,6 +535,50 @@ def test_series_product_skips_zero_coefficients_exactly(fa, sa, fb, sb, cut):
         naive_product(f, f))
 
 
+def ref_power(f, alpha):
+    """f^alpha for an int alpha: repeated per-term products of f, or of
+    ref_inverse(f) for alpha < 0."""
+    base = f if alpha >= 0 else SeriesT(ref_inverse(f), f.order)
+    out = SeriesT((1,), f.order)
+    for _ in range(abs(alpha)):
+        out = SeriesT(naive_product(out, base), f.order)
+    return list(out.coeffs)
+
+
+def powered(alpha):
+    """The Series rule f -> f^alpha."""
+    return lambda f: power(f, alpha)
+
+
+def with_constant(f, c):
+    """The SeriesT f with its t^0 coefficient replaced by c."""
+    return SeriesT((c,) + f.coeffs[1:], f.order)
+
+
+@given(st.lists(wide_polys, min_size=1, max_size=7), shapes,
+       wide_rationals.filter(bool), st.integers(-12, 12))
+@example([X, X / 3, 1 - X, X * X], "even", rat(-3, 7), -12)
+@example([X, X / 3, 1 - X, X * X, PolyX(), X / 720], "dense", rat(5, 2), 7)
+@settings(max_examples=100, deadline=None)
+def test_power_matches_repeated_products_and_references(
+        coeffs, shape, c, alpha):
+    """f^alpha by Miller's recurrence equals alpha-fold products of f, or
+    of 1/f, for a unit f_0, and the square-root reference for f_0 = 1;
+    a non-unit f_0, or a half power of f_0 != 1, raises."""
+    f = shaped(coeffs, shape)
+    unit, one = (with_constant(f, PolyX.const(c0)) for c0 in (c, 1))
+    same_coefficients(power(lazy(unit), alpha).at(f.order).coeffs,
+                      ref_power(unit, alpha))
+    same_coefficients(power(lazy(one), rat(1, 2)).at(f.order).coeffs,
+                      ref_sqrt(one))
+    for bad in (PolyX(), X, X + c):
+        with pytest.raises(ValueError):
+            power(lazy(with_constant(f, bad)), alpha).grow(1)
+    if c != 1:
+        with pytest.raises(ValueError):
+            power(lazy(unit), rat(1, 2)).grow(1)
+
+
 def counted(rule, log):
     """`rule`, appending each index it is asked for to `log`."""
     def counting(k):
@@ -562,9 +604,11 @@ def test_series_grown_in_steps_matches_one_growth_and_references(
     unit, one, zero = (SeriesT([c0] + tail, f.order)
                        for c0 in (PolyX.const(c), PolyX.const(1), PolyX()))
     cases = [(product, (f, g), naive_product(f, g)),
-             (inverse, (unit,), ref_inverse(unit)),
-             (sqrt, (one,), ref_sqrt(one)),
+             (powered(-1), (unit,), ref_inverse(unit)),
+             (powered(rat(1, 2)), (one,), ref_sqrt(one)),
              (exp, (zero,), ref_exp(zero))]
+    cases += [(powered(alpha), (unit,), ref_power(unit, alpha))
+              for alpha in (-3, 5)]
     for op, args, want in cases:
         last = len(want)
         logs = [[] for _ in range(len(args) + 1)]

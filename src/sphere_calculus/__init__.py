@@ -1,8 +1,8 @@
 """Exact symbolic engine for the blowup calculus of sphere classes.
 
 Modules:
-    rings     -- rationals, polynomials in x, truncated t-series,
-                 polynomials in q and in the sphere class alpha
+    rings     -- rationals, polynomials in x, truncated t-series and
+                 polynomials in the sphere class alpha
     record    -- the frozen-record base of the engine's value types
     elliptic  -- the blowup series B, S, Delta, Q, q from Weierstrass data,
                  their checked identities and their q-basis products
@@ -27,7 +27,7 @@ from .lens import (
     dim_end,
     minimal_energy,
 )
-from .rings import PolyX, QPoly, AlphaPoly, SeriesT, rat
+from .rings import PolyX, AlphaPoly, SeriesT, rat
 
 __all__ = [
     "AlphaPoly",
@@ -37,7 +37,6 @@ __all__ = [
     "NormalForm",
     "PolyX",
     "PosetJ",
-    "QPoly",
     "SeriesT",
     "blowup_functions",
     "build_poset",

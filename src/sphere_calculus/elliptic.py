@@ -128,14 +128,14 @@ def _build() -> dict:
 
     # p - 1/z^2 = sum u_(k+2) z^k is an honest power series; integrate
     # twice: zeta = 1/z - int(p - 1/z^2),  log(sigma/z) = int(zeta - 1/z).
-    sigma_over_z = exp(Series(
-        lambda k: u[k] * rat(-1, k * (k - 1)) if k > 1 else P_ZERO))
-    # z^2 (p - e3) has constant term 1; principal square root.
-    sqrt_part = power(Series(lambda k: u[k] - E3 if k == 2 else u[k]),
-                      rat(1, 2))
-    gauss = exp(Series(lambda k: -x * rat(1, 6) if k == 2 else P_ZERO))
-    s_over_t = series_product(gauss, sigma_over_z)
-    B = series_product(s_over_t, sqrt_part)
+    # S/t = exp(-t^2 x/6) sigma/t is one exp of log(sigma/z) - t^2 x/6.
+    s_over_t = exp(Series(
+        lambda k: P_ZERO if k < 2 else u[k] * rat(-1, k * (k - 1))
+        - (x * rat(1, 6) if k == 2 else P_ZERO)))
+    # z^2 (p - e3) has constant term 1, so its principal square root
+    # (for B) and the inverse of that (for Q) are one power table each.
+    shifted = Series(lambda k: u[k] - E3 if k == 2 else u[k])
+    B = series_product(s_over_t, power(shifted, rat(1, 2)))
     S = Series(lambda k: s_over_t[k - 1] if k else P_ZERO)
 
     def delta_rule(k):
@@ -144,8 +144,8 @@ def _build() -> dict:
         return sum_of_products([(2 * i - k - 1, s[i], b[k + 1 - i])
                                 for i in range(k + 2) if 2 * i != k + 1])
     Delta = Series(delta_rule)
-    inv_sqrt_part = power(sqrt_part, -1)
-    Q = Series(lambda k: inv_sqrt_part[k - 1] if k else P_ZERO)
+    inv_sqrt = power(shifted, rat(-1, 2))
+    Q = Series(lambda k: inv_sqrt[k - 1] if k else P_ZERO)
     q = series_product(Q, Q)
     Qprime = Series(lambda k: Q[k + 1] * (k + 1))
 

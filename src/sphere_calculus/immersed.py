@@ -44,7 +44,6 @@ from .rings import (
     P_ONE,
     P_ZERO,
     PolyX,
-    QPoly,
     factorial,
     linear_combination,
     rat,
@@ -59,33 +58,37 @@ KERNEL = {"cosh": (0, 1), "sinh": (1, 0)}
 
 # The two resultant combinations (f, g, phi1, phi2) of the double-point
 # steps, with f*phi1 + g*phi2 = x^2 - 4; the steps weight their sides
-# by phi1 and phi2, and the tests pin the identity.
+# by phi1 and phi2, and the tests pin the identity.  A q-polynomial is
+# the tuple of its PolyX coefficients, lowest power of q first, as a
+# normal-form side is the sequence of its AlphaPoly q-coefficients.
 BEZOUT_STEP2 = (
-    QPoly((P_ONE, P_ZERO, -P_ONE)),                      # 1 - q^2
-    QPoly((P_ONE, -X, P_ONE)),                           # 1 - xq + q^2
-    QPoly((X * X - 2, -X)),                              # -2 - qx + x^2
-    QPoly((PolyX.const(-2), -X)),                        # -2 - qx
+    (P_ONE, P_ZERO, -P_ONE),                             # 1 - q^2
+    (P_ONE, -X, P_ONE),                                  # 1 - xq + q^2
+    (X * X - 2, -X),                                     # -2 - qx + x^2
+    (PolyX.const(-2), -X),                               # -2 - qx
 )
 BEZOUT_STEP3 = (
-    QPoly((P_ONE, P_ZERO, -P_ONE)) ** 2,                 # (1 - q^2)^2
-    QPoly((P_ONE, -X, P_ONE)),                           # 1 - xq + q^2
-    QPoly((X * X - 1, -X)),                              # x^2 - 1 - qx
-    QPoly((PolyX.const(-3), -2 * X, P_ONE, X)),          # -3 - 2qx + q^2 + q^3 x
+    (P_ONE, P_ZERO, -2 * P_ONE, P_ZERO, P_ONE),          # (1 - q^2)^2
+    (P_ONE, -X, P_ONE),                                  # 1 - xq + q^2
+    (X * X - 1, -X),                                     # x^2 - 1 - qx
+    (PolyX.const(-3), -2 * X, P_ONE, X),                 # -3 - 2qx + q^2 + q^3 x
 )
 
 # The q-polynomial multipliers of each step's (untwisted, twisted)
-# transported lists, per side, built once.  The 1/2 of a once-twisted
-# payload and the 1/4 of a twice-twisted one ride on the multiplier, so
-# no transported list is rescaled.
+# transported lists, per side.  The 1/2 of a once-twisted payload and
+# the 1/4 of a twice-twisted one ride on the multiplier, so no
+# transported list is rescaled.
 STEP1_MULTIPLIERS = {
-    "cosh": (QPoly.const(1), QPoly.const(rat(1, 2))),    # 1, 1/2
-    "sinh": (QPoly.const(2), QPoly((-X / 2, P_ONE))),    # 2, (2q - x)/2
+    "cosh": ((P_ONE,), (P_ONE / 2,)),                    # 1, 1/2
+    "sinh": ((PolyX.const(2),), (-X / 2, P_ONE)),        # 2, (2q - x)/2
 }
 STEP2_MULTIPLIERS = {
-    "cosh": (BEZOUT_STEP2[2], BEZOUT_STEP2[3] * rat(1, 2)),  # phi1, phi2/2
-    "sinh": (QPoly.const(X2M4), QPoly((P_ZERO, X2M4 / 2))),  # x^2-4, q(x^2-4)/2
+    "cosh": (BEZOUT_STEP2[2],                            # phi1, phi2/2
+             tuple(c / 2 for c in BEZOUT_STEP2[3])),
+    "sinh": ((X2M4,), (P_ZERO, X2M4 / 2)),               # x^2-4, q(x^2-4)/2
 }
-STEP3_MULTIPLIERS = (BEZOUT_STEP3[2], BEZOUT_STEP3[3] * rat(1, 4))  # phi1, phi2/4
+STEP3_MULTIPLIERS = (BEZOUT_STEP3[2],                    # phi1, phi2/4
+                     tuple(c / 4 for c in BEZOUT_STEP3[3]))
 
 
 def r_index(p: int, s: int) -> int:
@@ -163,13 +166,13 @@ def _sr(coeffs, mode):
 
 
 def _combine(terms):
-    """sum f * lst over (QPoly f, list of AlphaPoly q-coefficients) pairs,
-    as a list of AlphaPoly q-coefficients."""
-    size = max((len(f.coeffs) + len(lst) - 1 for f, lst in terms if lst),
+    """sum f * lst over (q-polynomial f, list of AlphaPoly q-coefficients)
+    pairs, as a list of AlphaPoly q-coefficients."""
+    size = max((len(f) + len(lst) - 1 for f, lst in terms if lst),
                default=0)
     return [AlphaPoly.combination(
         [(fi, lst[k - i]) for f, lst in terms
-         for i, fi in enumerate(f.coeffs) if 0 <= k - i < len(lst)])
+         for i, fi in enumerate(f) if 0 <= k - i < len(lst)])
         for k in range(size)]
 
 
@@ -193,7 +196,6 @@ def universal_coefficients(a: int, s: int, side: str):
     return tuple(triangular_solve(weights, par))
 
 
-@lru_cache(maxsize=None)
 def _make_target(p: int, s: int, a: int) -> NormalForm:
     """The canonical (p, s, a) normal form built from the universal
     coefficients; the (x^2-4)^r factor multiplies both sides of the
@@ -349,8 +351,9 @@ def _check_side(nf, out, side, terms, what, retained=False):
     Q[x]-multiple of the normal form of the residual's t^j coefficient."""
     target = out.c if side == "cosh" else out.d
     scale = X2M4**nf.r
-    residual = _combine([(f * scale, lst) for f, lst in terms]
-                        + [(QPoly.const(-X2M4**out.r), target)])
+    residual = _combine([(tuple(c * scale for c in f), lst)
+                         for f, lst in terms]
+                        + [((-X2M4**out.r,), target)])
     if retained:
         for i in range(len(target)):
             if residual[i]:

@@ -1,5 +1,5 @@
 """Exact arithmetic foundation: rationals, polynomials in x, truncated
-power series in t, and polynomials in q.
+power series in t, and polynomials in the sphere class alpha.
 
 All coefficients are exact rationals.  A polynomial in x stores Python
 ints over one common denominator, so its arithmetic is integer
@@ -14,10 +14,9 @@ coefficient: series products and the exp and power recurrences call
 it coefficient by coefficient, each from the ones below, as the rules
 of Series, a power series grown on demand; that is how every
 series of `elliptic` deepens.  linear_combination builds the rows of
-every entry of a weighted sum of sequences: the polynomial product of
-RingPoly, RingPoly.combination and the engine's exact linear
-combinations.  An entry or coefficient with no nonzero product is zero
-without a kernel call.
+every entry of a weighted sum of sequences: RingPoly.combination and
+the engine's other exact linear combinations.  An entry or coefficient
+with no nonzero product is zero without a kernel call.
 Every container here is immutable after construction, except Series,
 which grows in place; all other operations return new values.
 """
@@ -517,19 +516,15 @@ def exp(f: Series) -> Series:
 
 
 class RingPoly:
-    """Dense polynomial over PolyX in one extra symbol (q or alpha)."""
+    """Dense polynomial over PolyX in one extra symbol, with sums,
+    products by a scalar and weighted sums (combination)."""
 
     __slots__ = ("coeffs",)
-    symbol = "?"
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (PolyX,) + _RAT_TYPES):
             coeffs = (coeffs,)
         self.coeffs = _strip(tuple(_as_polyx(c) for c in coeffs))
-
-    @classmethod
-    def const(cls, c):
-        return cls((_as_polyx(c),))
 
     @classmethod
     def _of(cls, coeffs):
@@ -562,13 +557,13 @@ class RingPoly:
 
     def __eq__(self, other):
         if isinstance(other, RingPoly):
-            return self.symbol == other.symbol and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs
         if isinstance(other, (PolyX,) + _RAT_TYPES):
             return self.coeffs == type(self)(other).coeffs
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.symbol, self.coeffs))
+        return hash(self.coeffs)
 
     def __neg__(self):
         return self._of(tuple([-c for c in self.coeffs]))
@@ -605,40 +600,24 @@ class RingPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (PolyX,) + _RAT_TYPES):
-            p = _as_polyx(other)
-            if p.den == 1 and p.num == (1,):
-                return self
-            return self._of([c * p if c else c for c in self.coeffs])
-        other = self._coerce(other)
-        if other is None:
+        """The product by a scalar: a PolyX or a rational."""
+        if not isinstance(other, (PolyX,) + _RAT_TYPES):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        return self._of(linear_combination(
-            [(ai, (P_ZERO,) * i + b) for i, ai in enumerate(a)],
-            len(a) + len(b) - 1))
+        p = _as_polyx(other)
+        if p.den == 1 and p.num == (1,):
+            return self
+        return self._of([c * p if c else c for c in self.coeffs])
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        return _power(self, n, type(self).const(1))
-
     def __repr__(self):
         return "%s(%r)" % (type(self).__name__, list(self.coeffs))
-
-
-class QPoly(RingPoly):
-    """Polynomial in q = Q^2 with PolyX coefficients."""
-
-    __slots__ = ()
-    symbol = "q"
 
 
 class AlphaPoly(RingPoly):
     """Polynomial in the sphere class alpha with PolyX coefficients."""
 
     __slots__ = ()
-    symbol = "a"
 
     def alpha_parity_is(self, parity: int) -> bool:
         """True when every nonzero coefficient sits on the given parity."""

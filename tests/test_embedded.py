@@ -1,6 +1,8 @@
 """Embedded-sphere structure equations against printed and model oracles."""
 
 import hashlib
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -170,6 +172,104 @@ def test_oracle_a_holds_at_a_second_representative():
                 assert got == model, (n, epsilon, name)
                 checked.append((n, epsilon, name))
     assert len(checked) == 56
+
+
+# A second model check, at the simple-type points x = +-2, from closed
+# forms alone: B = exp(-+t^2/2) (cosh t | cos t), S likewise with sinh |
+# sin, Delta = exp(-+t^2), Q = tanh t | tan t and Q' = 1 - (x/2) q.  No
+# series of the engine enters.  Each series is a list in Hurwitz form,
+# k! f_k at t^k, which is an integer for every one of these, so a
+# product is a binomial convolution of ints; and a model's value of
+# sigma^p, p! times its t^p coefficient, is its entry p.
+HURWITZ_N = 20
+HURWITZ_ORDER = 2 * HURWITZ_N + 8
+BINOMIALS = [[math.comb(k, i) for i in range(k + 1)]
+             for k in range(HURWITZ_ORDER)]
+
+
+def h_mul(f, g):
+    """The product of two series in Hurwitz form, to the shorter."""
+    n = min(len(f), len(g))
+    nonzero = [i for i in range(n) if f[i]]
+    return [sum(BINOMIALS[k][i] * f[i] * g[k - i] for i in nonzero if i <= k)
+            for k in range(n)]
+
+
+def h_powers(f, top):
+    """[f^0, f^1, ..., f^top] in Hurwitz form."""
+    out = [[1] + [0] * (len(f) - 1)]
+    for _ in range(top):
+        out.append(h_mul(out[-1], f))
+    return out
+
+
+def h_gaussian(c):
+    """exp(c t^2 / 2) for c = +-1 or +-2."""
+    return [math.factorial(k) * c ** (k // 2)
+            // (math.factorial(k // 2) << (k // 2)) if k % 2 == 0 else 0
+            for k in range(HURWITZ_ORDER)]
+
+
+def h_closed_forms(x, gauss_sign, hyperbolic):
+    """B, S, Delta, Q, q and Q' at x in Hurwitz form."""
+    trig = [[(1 if hyperbolic or k // 2 % 2 == 0 else -1)
+             if k % 2 == odd else 0 for k in range(HURWITZ_ORDER)]
+            for odd in (0, 1)]
+    B, S = (h_mul(h_gaussian(gauss_sign), t) for t in trig)
+    inverse_b = [1]
+    for n in range(1, HURWITZ_ORDER):
+        inverse_b.append(-sum(BINOMIALS[n][i] * B[i] * inverse_b[n - i]
+                              for i in range(1, n + 1)))
+    Q = h_mul(S, inverse_b)
+    q = h_mul(Q, Q)
+    return {"B": B, "S": S, "Delta": h_gaussian(2 * gauss_sign), "Q": Q,
+            "q": q, "Qprime": [int(k == 0) - x // 2 * c
+                               for k, c in enumerate(q)]}
+
+
+@pytest.mark.parametrize("x, gauss_sign, hyperbolic",
+                         [(2, -1, True), (-2, 1, False)])
+def test_relations_hold_in_closed_form_models_at_x_plus_minus_2(
+        x, gauss_sign, hyperbolic):
+    """Every relation with n <= 20, its c and d evaluated at x, sums its
+    basis B^n Q^parity Q'^delta q^i to each model series S^m B^(n-m) and
+    -Delta S^(m-1) B^(n-m-1), through the relation's order."""
+    f = h_closed_forms(x, gauss_sign, hyperbolic)
+    b_pow, s_pow = h_powers(f["B"], HURWITZ_N), h_powers(f["S"], HURWITZ_N)
+    checked = 0
+    for n in range(1, HURWITZ_N + 1):
+        for epsilon in (0, 1):
+            rel = derive_embedded(n, epsilon)
+            order = rel.order
+            sides = []
+            for parity, coeffs in ((0, rel.c), (1, rel.d)):
+                term = b_pow[n][:order]
+                if parity:
+                    term = h_mul(term, f["Q"])
+                if epsilon ^ parity:
+                    term = h_mul(term, f["Qprime"])
+                for c in coeffs:
+                    sides.append(([Fraction(sum(v * x ** i for i, v in
+                                                enumerate(cp.num)), cp.den)
+                                   for cp in c.coeffs], term))
+                    term = h_mul(term, f["q"])
+            models = []
+            for m in range(epsilon, n + 1, 2):
+                models.append(h_mul(s_pow[m], b_pow[n - m][:order]))
+                if 1 <= m <= n - 1:
+                    models.append([-v for v in h_mul(f["Delta"], h_mul(
+                        s_pow[m - 1], b_pow[n - m - 1][:order]))])
+            for model in models:
+                got = [0] * order
+                for c, term in sides:
+                    value = sum(cp * model[p] for p, cp in enumerate(c)
+                                if cp)
+                    if value:
+                        got = [g + value * t if t else g
+                               for g, t in zip(got, term)]
+                assert got == model, (n, epsilon)
+                checked += 1
+    assert checked == 420
 
 
 def test_relation_shape():

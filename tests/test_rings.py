@@ -1,4 +1,4 @@
-"""Exact-arithmetic foundation: polynomials, series, q/alpha rings."""
+"""Exact-arithmetic foundation: polynomials in x, series and alpha polynomials."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from sphere_calculus.rings import (
     AlphaPoly,
     PolyX,
-    QPoly,
     Series,
     SeriesT,
     _power,
@@ -75,7 +74,6 @@ def test_series_inverse_and_sqrt():
 POWER_BASES = [
     PolyX((rat(1), rat(-2, 3), rat(1, 2))),
     SeriesT((PolyX.const(1), PolyX.x(), PolyX.const(rat(-1, 3))), 10),
-    AlphaPoly((PolyX.x(), PolyX.const(2))),
 ]
 
 
@@ -84,7 +82,7 @@ def test_power_matches_repeated_product(base):
     if isinstance(base, SeriesT):
         product = SeriesT((1,), base.order)
     else:
-        product = type(base).const(1)
+        product = PolyX.const(1)
     for k in range(9):
         assert base ** k == product
         product = product * base
@@ -118,16 +116,6 @@ def test_series_exp_integral():
     e = exp(lazy(SeriesT([0, 1], 8))).at(8)  # exp(t)
     for j in range(8):
         assert e[j] == PolyX.const(rat(1) / factorial(j))
-
-
-def test_bezout_check():
-    x = PolyX.x()
-    f = QPoly((PolyX.const(1), PolyX(), -PolyX.const(1)))
-    g = QPoly((PolyX.const(1), -x, PolyX.const(1)))
-    phi1 = QPoly((x * x - 2, -x))
-    phi2 = QPoly((PolyX.const(-2), -x))
-    assert f * phi1 + g * phi2 == QPoly.const(x * x - 4)
-    assert f * phi1 + g * phi2 != QPoly.const(x * x - 3)
 
 
 def test_alpha_parity():
@@ -255,11 +243,10 @@ def test_product_by_one_is_the_operand(a, c, one):
         assert_canonical(got)
         assert got == want and hash(got) == hash(want)
         assert (got.num, got.den) == (want.num, want.den)
-    for ring in (AlphaPoly, QPoly):
-        f = ring((a, -a, PolyX(), a * PolyX.x() + c))
-        for got in (f * one, one * f):
-            assert type(got) is ring and got == f
-            assert got.coeffs == f.coeffs and hash(got) == hash(f)
+    f = AlphaPoly((a, -a, PolyX(), a * PolyX.x() + c))
+    for got in (f * one, one * f):
+        assert type(got) is AlphaPoly and got == f
+        assert got.coeffs == f.coeffs and hash(got) == hash(f)
 
 
 def test_equal_polynomials_from_different_fractions():
@@ -424,19 +411,6 @@ def ref_linear_combination(terms, size):
     return out
 
 
-def ref_ring_product(a, b):
-    """The polynomial product as RingPoly.__mul__ summed it term by term."""
-    a, b = a.coeffs, b.coeffs
-    out = [PolyX()] * max(len(a) + len(b) - 1, 0)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def canonical_pairs(polys):
     for p in polys:
         assert_canonical(p)
@@ -455,26 +429,15 @@ def test_linear_combination_matches_per_term_reference(terms, size):
         ref_linear_combination(terms, size))
 
 
-@given(sequences, sequences, st.sampled_from([AlphaPoly, QPoly]))
+@given(st.lists(st.tuples(wide_polys, sequences), max_size=5))
 @settings(max_examples=60, deadline=None)
-def test_ring_product_matches_per_term_reference(a, b, ring):
-    f, g = ring(a), ring(b)
-    got = f * g
-    assert type(got) is ring
-    assert canonical_pairs(got.coeffs) == canonical_pairs(
-        ring(ref_ring_product(f, g)).coeffs)
-
-
-@given(st.lists(st.tuples(wide_polys, sequences), max_size=5),
-       st.sampled_from([AlphaPoly, QPoly]))
-@settings(max_examples=60, deadline=None)
-def test_ring_combination_matches_per_term_reference(terms, ring):
-    polys = [(w, ring(f)) for w, f in terms]
-    want = ring()
+def test_ring_combination_matches_per_term_reference(terms):
+    polys = [(w, AlphaPoly(f)) for w, f in terms]
+    want = AlphaPoly()
     for w, f in polys:
         want = want + f * w
-    got = ring.combination(polys)
-    assert type(got) is ring and got == want
+    got = AlphaPoly.combination(polys)
+    assert type(got) is AlphaPoly and got == want
     assert canonical_pairs(got.coeffs) == canonical_pairs(want.coeffs)
 
 

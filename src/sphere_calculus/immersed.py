@@ -148,7 +148,7 @@ def shift_reduce(poly: AlphaPoly, mode: str) -> AlphaPoly:
     """
     if mode not in ("B", "S"):
         raise ValueError("mode must be 'B' or 'S'")
-    return AlphaPoly._of(linear_combination(
+    return AlphaPoly(linear_combination(
         [(gamma, _shifted_power(mode, p))
          for p, gamma in enumerate(poly.coeffs)], len(poly.coeffs)))
 
@@ -205,17 +205,6 @@ def _make_target(p: int, s: int, a: int) -> NormalForm:
                       d=universal_coefficients(a, s, "sinh"))
 
 
-def expansion_coefficient(a: int, s: int, side: str, tpow: int) -> AlphaPoly:
-    """The t^tpow Taylor coefficient, times tpow!, of the q-normal-form
-    series B^(-a) (2-xq)^(-s) sum_i q^i K c_i(alpha) with K = Q' on the
-    cosh side and K = Q on the sinh side, over the universal (a, s)
-    coefficients c_i.  Alpha stays symbolic."""
-    return AlphaPoly.combination(
-        [(weight_series(a, s, KERNEL[side], i, tpow + 1)[tpow], ci)
-         for i, ci in enumerate(universal_coefficients(a, s, side))]
-    ) * factorial(tpow)
-
-
 # Reached only for a step whose reduced residual is nonzero.  Hardly any
 # residual repeats, but the benchmark's traced run reads this memo's
 # cache_info(), so it stays an lru_cache until the benchmark drops it.
@@ -238,14 +227,17 @@ def _chain_relation(s: int, a: int, m: int):
     of every (p, s, a) structure equation.
 
     The t^m coefficient reads (x^2-4)^r(p, s) (alpha^m - rho) == 0 with
-    rho the matching Taylor coefficient of the right-hand side, which
-    depends only on (a, s).  Returns the relation, or None when m is
+    rho = m! sum_i W_i[m] c_i, over the weight series W_i of q^i K and
+    the universal (a, s) coefficients c_i, so the relation depends only
+    on (a, s) and is one combination.  Returns it, or None when m is
     within the equation's retained range (no rule available)."""
     bound = k0_index(a, s) if m % 2 else k_index(a, s)
     if m // 2 <= bound:
         return None
     side = "sinh" if m % 2 else "cosh"
-    return AlphaPoly.gen(m) - expansion_coefficient(a, s, side, m)
+    return AlphaPoly.combination([(P_ONE, AlphaPoly.gen(m))] + [
+        (weight_series(a, s, KERNEL[side], i, m + 1)[m] * -factorial(m), ci)
+        for i, ci in enumerate(universal_coefficients(a, s, side))])
 
 
 class ReductionContext:

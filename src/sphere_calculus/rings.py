@@ -14,9 +14,9 @@ coefficient: series products and the exp and power recurrences call
 it coefficient by coefficient, each from the ones below, as the rules
 of Series, a power series grown on demand; that is how every
 series of `elliptic` deepens.  linear_combination builds the rows of
-every entry of a weighted sum of sequences: RingPoly.combination and
-the engine's other exact linear combinations.  An entry or coefficient
-with no nonzero product is zero without a kernel call.
+every entry of a weighted sum of sequences: each RingPoly sum, which is
+a RingPoly.combination, and the engine's other linear combinations.  An
+entry or coefficient with no nonzero product is zero without a kernel call.
 Every container here is immutable after construction, except Series,
 which grows in place; all other operations return new values.
 """
@@ -50,13 +50,6 @@ def rat_to_str(r) -> str:
     if r.denominator == 1:
         return str(r.numerator)
     return "%d/%d" % (r.numerator, r.denominator)
-
-
-def _strip(coeffs):
-    n = len(coeffs)
-    while n > 0 and not coeffs[n - 1]:
-        n -= 1
-    return tuple(coeffs[:n])
 
 
 def _int_pair(c):
@@ -126,8 +119,9 @@ class PolyX:
     Stored as Python-int numerators `num` over one positive common
     denominator `den`, in lowest terms: gcd(den, *num) == 1, no trailing
     zero numerator, and the zero polynomial is ((), 1).  Equal
-    polynomials therefore have equal (num, den).  Rational coefficients
-    are formed only when read through `[]`, `constant()` or `coeffs`.
+    polynomials therefore have equal (num, den); a constant hashes as the
+    rational it equals.  Rational coefficients are formed only when read
+    through `[]`, `constant()` or `coeffs`, or a fractional constant hashed.
     """
 
     __slots__ = ("num", "den")
@@ -183,7 +177,12 @@ class PolyX:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        num = self.num
+        if len(num) > 1:
+            return hash((num, self.den))
+        if self.den == 1:
+            return hash(num[0]) if num else 0
+        return hash(self[0])
 
     def __neg__(self):
         return _make(tuple([-c for c in self.num]), self.den)
@@ -516,29 +515,24 @@ def exp(f: Series) -> Series:
 
 
 class RingPoly:
-    """Dense polynomial over PolyX in one extra symbol, with sums,
-    products by a scalar and weighted sums (combination)."""
+    """Dense polynomial over PolyX in one extra symbol, from a sequence
+    of PolyX, lowest power first.  Every sum, `+` and `-` included, is a
+    combination; `*` is the product by a scalar; nothing is coerced."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, (PolyX,) + _RAT_TYPES):
-            coeffs = (coeffs,)
-        self.coeffs = _strip(tuple(_as_polyx(c) for c in coeffs))
-
-    @classmethod
-    def _of(cls, coeffs):
-        """The polynomial with these PolyX coefficients, stripped."""
-        p = _new(cls)
-        p.coeffs = _strip(coeffs)
-        return p
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        self.coeffs = tuple(coeffs[:n])
 
     @classmethod
     def combination(cls, terms):
         """The sum of w * f over the (w, f) in `terms`, for PolyX weights
         w and polynomials f of this ring (see linear_combination)."""
         terms = [(w, f.coeffs) for w, f in terms]
-        return cls._of(linear_combination(
+        return cls(linear_combination(
             terms, max([len(f) for _, f in terms], default=0)))
 
     @classmethod
@@ -556,48 +550,25 @@ class RingPoly:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else P_ZERO
 
     def __eq__(self, other):
-        if isinstance(other, RingPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (PolyX,) + _RAT_TYPES):
-            return self.coeffs == type(self)(other).coeffs
-        return NotImplemented
+        if not isinstance(other, RingPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __neg__(self):
-        return self._of(tuple([-c for c in self.coeffs]))
-
-    def _coerce(self, other):
-        if isinstance(other, type(self)):
-            return other
-        if isinstance(other, (PolyX,) + _RAT_TYPES):
-            return type(self)(other)
-        return None
+        return self * -1
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RingPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            if c:
-                out[i] = out[i] + c
-        return self._of(out)
-
-    __radd__ = __add__
+        return self.combination([(P_ONE, self), (P_ONE, other)])
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, RingPoly):
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return self.combination([(P_ONE, self), (-P_ONE, other)])
 
     def __mul__(self, other):
         """The product by a scalar: a PolyX or a rational."""
@@ -606,7 +577,7 @@ class RingPoly:
         p = _as_polyx(other)
         if p.den == 1 and p.num == (1,):
             return self
-        return self._of([c * p if c else c for c in self.coeffs])
+        return type(self)([c * p if c else c for c in self.coeffs])
 
     __rmul__ = __mul__
 

@@ -23,7 +23,7 @@ from sphere_calculus.embedded import (
 )
 from sphere_calculus.immersed import derive_immersed
 from sphere_calculus.model import smb_series
-from sphere_calculus.rings import AlphaPoly, PolyX, SeriesT, rat
+from sphere_calculus.rings import P_ONE, AlphaPoly, PolyX, SeriesT, rat
 
 
 def test_printed_low_n_table():
@@ -77,7 +77,7 @@ def test_model_verification_raises_on_failure():
     rel = derive_embedded(3, 1)
     c0, *rest = rel.c
     broken = EmbeddedRelation(rel.n, rel.epsilon, rel.order,
-                              (c0 + 1, *rest), rel.d)
+                              (c0 + AlphaPoly((P_ONE,)), *rest), rel.d)
     with pytest.raises(DerivationError, match="twists=1"):
         verify_embedded_relation(broken)
 

@@ -39,6 +39,17 @@ def const(v):
     return AlphaPoly((PolyX.const(v),))
 
 
+def per_term_sum(terms):
+    """The sum of w * f over the (PolyX w, AlphaPoly f) in `terms`, added
+    coefficient by coefficient with PolyX `*` and `+` alone, apart from
+    the rings kernel that every AlphaPoly sum runs through."""
+    out = [PolyX()] * max([len(f.coeffs) for _, f in terms], default=0)
+    for w, f in terms:
+        for k, c in enumerate(f.coeffs):
+            out[k] = out[k] + c * w
+    return AlphaPoly(out)
+
+
 # ------------------------------------------------------------ indices
 
 
@@ -246,11 +257,13 @@ def test_chain_relation_is_shared_by_every_p(p):
                 if m // 2 <= (nf.k0 if m % 2 else nf.k):
                     assert got is None
                     continue
-                rho = AlphaPoly()
-                for i, ci in enumerate(nf.d if m % 2 else nf.c):
-                    rho = rho + ci * weight_series(
-                        nf.a, nf.s, immersed.KERNEL[side], i, m + 1)[m]
-                want = (A(m) - rho * math.factorial(m)) * X2M4**nf.r
+                rho = per_term_sum([
+                    (weight_series(nf.a, nf.s, immersed.KERNEL[side], i,
+                                   m + 1)[m], ci)
+                    for i, ci in enumerate(nf.d if m % 2 else nf.c)])
+                scale = X2M4**nf.r
+                want = per_term_sum([(scale, A(m)),
+                                     (-scale * math.factorial(m), rho)])
                 assert got * X2M4**r_index(p, s) == want
 
 
@@ -281,7 +294,7 @@ class FreshContext:
             if piv is None:
                 self.basis[d] = rel
                 return True
-            rel = rel * piv[d] - piv * rel[d]
+            rel = per_term_sum([(piv[d], rel), (-rel[d], piv)])
         return False
 
     def load(self, mmax):
@@ -307,7 +320,7 @@ class FreshContext:
                 piv = self.basis.get(d)
                 if piv is not None and poly[d]:
                     mult = mult * piv[d]
-                    poly = poly * piv[d] - piv * poly[d]
+                    poly = per_term_sum([(piv[d], poly), (-poly[d], piv)])
         return poly, mult
 
     def top_reduce(self, poly):
@@ -320,7 +333,7 @@ class FreshContext:
             if piv is None:
                 return poly
             d = poly.degree
-            poly = poly * piv[d] - piv * poly[d]
+            poly = per_term_sum([(piv[d], poly), (-poly[d], piv)])
         return poly
 
 
@@ -438,14 +451,14 @@ def ref_shift_reduce(poly, mode):
 def ref_combine(terms):
     size = max((len(f) + len(lst) - 1 for f, lst in terms if lst),
                default=0)
-    out = [AlphaPoly() for _ in range(size)]
+    out = [[] for _ in range(size)]
     for f, lst in terms:
         for i, fi in enumerate(f):
             if not fi:
                 continue
             for j, cj in enumerate(lst):
-                out[i + j] = out[i + j] + cj * fi
-    return out
+                out[i + j].append((fi, cj))
+    return [per_term_sum(t) for t in out]
 
 
 def canonical(poly):
@@ -503,7 +516,8 @@ def test_reduction_cross_step_matches_per_term_reference(low, lead, f):
     ctx = immersed.ReductionContext(0, -2)
     ctx.pivots, ctx.loaded = {d: piv}, f.degree
     rem, mult = ctx.reduce(f)
-    want, want_mult = (f * lead - piv * f[d], lead) if f[d] else (f, 1)
+    want, want_mult = ((per_term_sum([(lead, f), (-f[d], piv)]), lead)
+                       if f[d] else (f, 1))
     assert not rem[d] and mult == want_mult
     assert canonical(rem) == canonical(want)
 
@@ -531,13 +545,12 @@ def reference_check_side(nf, out, side, terms, what, retained=False):
                     "%s %s coefficient %d mismatch" % (what, side, i))
     if not any(residual):
         return
-    total = [AlphaPoly()
-             for _ in range(max(12, 2 * max(nf.k, nf.k0, 0) + 10))]
-    for i, coeff in enumerate(residual):
-        weight = weight_series(out.a, out.s, immersed.KERNEL[side], i,
-                               len(total))
-        for j in range(len(total)):
-            total[j] = total[j] + coeff * weight[j]
+    order = max(12, 2 * max(nf.k, nf.k0, 0) + 10)
+    weights = [weight_series(out.a, out.s, immersed.KERNEL[side], i, order)
+               for i in range(len(residual))]
+    total = [per_term_sum([(w[j], coeff)
+                           for w, coeff in zip(weights, residual)])
+             for j in range(order)]
     ctx = REFERENCE_BASES.setdefault((out.p, out.a),
                                      FreshContext(out.p, out.a))
     for j, coeff in enumerate(total):

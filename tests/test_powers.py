@@ -133,6 +133,17 @@ VERIFY_AS = sorted({(a, s) for p in range(4) for s in range(p + 1)
                     for a in range(4 * p - 2, 4 * p - 7, -1)})
 
 
+def per_term_sum(terms):
+    """The sum of w * f over the (PolyX w, AlphaPoly f) in `terms`, added
+    coefficient by coefficient with PolyX `*` and `+` alone, apart from
+    the rings kernel that every AlphaPoly sum runs through."""
+    out = [PolyX()] * max([len(f.coeffs) for _, f in terms], default=0)
+    for w, f in terms:
+        for k, c in enumerate(f.coeffs):
+            out[k] = out[k] + c * w
+    return AlphaPoly(out)
+
+
 @pytest.mark.parametrize("a, s", VERIFY_AS)
 def test_triangular_solve_reproduces_universal_coefficients(a, s):
     for side, kernel, par, top in (("cosh", (0, 1), 0, k_index(a, s)),
@@ -147,9 +158,7 @@ def test_triangular_solve_reproduces_universal_coefficients(a, s):
         # solved t-power.
         for j in range(top + 1):
             tp = 2 * j + par
-            total = AlphaPoly()
-            for c, w in zip(got, weights):
-                total = total + c * w[tp]
+            total = per_term_sum([(w[tp], c) for c, w in zip(got, weights)])
             assert total == AlphaPoly.gen(tp) * (rat(1) / factorial(tp))
 
 

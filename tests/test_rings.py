@@ -273,6 +273,45 @@ def test_polyx_compares_with_int_and_rational():
     assert PolyX.const(2) != rat(1, 2)
 
 
+@given(wide_rationals | st.just(rat(0)))
+@example(rat(0))
+@example(rat(1))
+@example(rat(-3))
+@settings(max_examples=80, deadline=None)
+def test_polyx_constants_hash_as_the_rational_they_equal(r):
+    scalars = [r, int(r)] if r.denominator == 1 else [r]
+    for c in (PolyX.const(r), PolyX((r, rat(0))), PolyX.const(r) * 3 / 3):
+        for scalar in scalars:
+            assert c == scalar and hash(c) == hash(scalar)
+            assert len({c, scalar}) == 1
+
+
+@given(wide_polys, st.lists(wide_polys, max_size=4), wide_rationals)
+@settings(max_examples=60, deadline=None)
+def test_alpha_polys_equal_and_hash_only_as_alpha_polys(c, rest, r):
+    """An AlphaPoly never equals a PolyX, an int or a rational, not even
+    a constant one; equal AlphaPolys hash equal; `+` and `-` take two
+    AlphaPolys and nothing else."""
+    f = AlphaPoly([c] + rest)
+    pairs = [(f, c), (f, r), (f, 0), (f, 1), (AlphaPoly((c,)), c),
+             (AlphaPoly((PolyX.const(r),)), r),
+             (AlphaPoly((PolyX.const(r),)), PolyX.const(r)),
+             (AlphaPoly((PolyX.const(1),)), 1), (AlphaPoly(), 0),
+             (AlphaPoly(), PolyX())]
+    for poly, scalar in pairs:
+        assert poly != scalar and scalar != poly
+    assert len({AlphaPoly((PolyX.const(1),)), PolyX.const(1), 1}) == 2
+    for same in (AlphaPoly(list(f.coeffs) + [PolyX()] * 2),
+                 AlphaPoly([p * 6 / 6 for p in f.coeffs]),
+                 AlphaPoly.combination([(PolyX.const(rat(1, 2)), f)]) * 2,
+                 f + AlphaPoly(), f - AlphaPoly(), -(-f)):
+        assert same == f and hash(same) == hash(f)
+    for bad in (lambda: f + 1, lambda: 1 - AlphaPoly.gen(),
+                lambda: f - c, lambda: c + f, lambda: f + r):
+        with pytest.raises(TypeError):
+            bad()
+
+
 series = st.lists(wide_polys, min_size=1, max_size=7).map(
     lambda cs: SeriesT(cs, len(cs)))
 
@@ -433,9 +472,8 @@ def test_linear_combination_matches_per_term_reference(terms, size):
 @settings(max_examples=60, deadline=None)
 def test_ring_combination_matches_per_term_reference(terms):
     polys = [(w, AlphaPoly(f)) for w, f in terms]
-    want = AlphaPoly()
-    for w, f in polys:
-        want = want + f * w
+    want = AlphaPoly(ref_linear_combination(
+        terms, max([len(f) for _, f in terms], default=0)))
     got = AlphaPoly.combination(polys)
     assert type(got) is AlphaPoly and got == want
     assert canonical_pairs(got.coeffs) == canonical_pairs(want.coeffs)
